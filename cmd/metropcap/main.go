@@ -35,6 +35,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	goruntime "runtime"
 	"time"
 
 	"metronome/internal/apps/flowatcher"
@@ -303,7 +304,7 @@ func runReplay(records []pcap.Record, nq, m, times int, speedup float64, elas bo
 			}
 			time.Sleep(d)
 		}
-		mb, err := cache.Get()
+		mb, err := lease(cache)
 		if err != nil {
 			bus.AddDrops(q, 1)
 			lost++
@@ -365,6 +366,21 @@ func runReplay(records []pcap.Record, nq, m, times int, speedup float64, elas bo
 		fmt.Printf("trace: wrote %d control-plane events to %s (load in Perfetto)\n",
 			len(rec.Events(nil)), ob.traceOut)
 	}
+}
+
+// lease takes one buffer from the producer's cache, yielding and trying
+// once more before it reports exhaustion. A first miss is often not
+// shortage: free buffers a consumer cache is spilling at that moment are
+// not in the shared ring until the spill publishes, and the caller charges
+// a failed lease to bus.AddDrops, which steers the controller's loss
+// override.
+func lease(c *mbuf.Cache) (*mbuf.Mbuf, error) {
+	m, err := c.Get()
+	if err != nil {
+		goruntime.Gosched()
+		m, err = c.Get()
+	}
+	return m, err
 }
 
 func fatal(err error) {

@@ -1,7 +1,7 @@
 // L3 forwarder: the paper's flagship workload on the real-time runtime.
 //
 // Synthetic UDP flows stream into two RSS-split rings; Metronome threads
-// share both rings and hand each burst to the l3fwd application (DIR-24-8
+// share both rings and hand each burst to the l3fwd application (multibit-trie
 // longest-prefix-match, MAC rewrite, TTL/checksum update). The demo prints
 // routed/dropped counters and per-queue load estimates, then compares the
 // trylock accounting against a static busy-poll run of the same traffic.

@@ -1,6 +1,7 @@
 package apps_test
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"metronome/internal/apps"
@@ -8,6 +9,7 @@ import (
 	"metronome/internal/mbuf"
 	"metronome/internal/packet"
 	"metronome/internal/traffic"
+	"metronome/internal/xrand"
 )
 
 // benchBurst returns 32 routable 64-byte UDP frames (copied out of the
@@ -56,6 +58,38 @@ func benchL3fwd(b *testing.B, p apps.BurstProcessor) {
 
 func BenchmarkL3fwdBurst32(b *testing.B)     { benchL3fwd(b, newL3fwd()) }
 func BenchmarkL3fwdPerPacket32(b *testing.B) { benchL3fwd(b, apps.PerPacket{P: newL3fwd()}) }
+
+// BenchmarkL3fwdBurst32RandomDst is the cold-table companion of
+// BenchmarkL3fwdBurst32, whose 32 fixed destinations keep whatever the LPM
+// touches in L1: here every op rewrites the 32 frames' destinations (one
+// 4-byte store per packet, next to the TTL restore) from 8192 uniform
+// random addresses, so lookups walk the table the way FrameGen traffic over
+// thousands of flows does and the table's footprint — cache and TLB reach —
+// is part of the number.
+func BenchmarkL3fwdBurst32RandomDst(b *testing.B) {
+	const nDst = 8192
+	p := newL3fwd()
+	_, ms, verdicts := benchBurst(b)
+	rng := xrand.New(7)
+	dsts := make([]uint32, nDst)
+	for i := range dsts {
+		dsts[i] = uint32(rng.Uint64())
+	}
+	const dstOff = packet.EthHeaderLen + 16
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := i * burstLen % nDst
+		for j, m := range ms {
+			frame := m.Bytes()
+			frame[packet.EthHeaderLen+8] = 64
+			binary.BigEndian.PutUint32(frame[dstOff:], dsts[at+j])
+		}
+		p.ProcessBurst(ms, verdicts)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)*burstLen/b.Elapsed().Seconds()/1e6, "Mpps")
+}
 
 func benchFlowatcher(b *testing.B, p apps.BurstProcessor) {
 	_, ms, verdicts := benchBurst(b)

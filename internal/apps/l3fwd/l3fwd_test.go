@@ -1,6 +1,7 @@
 package l3fwd
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -108,7 +109,184 @@ func TestLPMDeepDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	if hop, _ := l.Lookup(addr(10, 0, 0, 70)); hop != 1 {
-		t.Errorf("tbl8 range not restored: %d", hop)
+		t.Errorf("/24 not restored over the deleted /26: %d", hop)
+	}
+}
+
+// TestLPMNestedLevels nests a /25-/32 under a /17-/24 under a <= /16, so one
+// lookup path crosses all three trie levels, and installs them deepest
+// first and shallowest first: each address must resolve to its longest
+// match either way, and deleting the middle rule must hand its range back
+// to the outer one without touching the inner one.
+func TestLPMNestedLevels(t *testing.T) {
+	type route struct {
+		p   packet.Addr
+		len int
+		hop uint16
+	}
+	routes := []route{
+		{addr(10, 0, 0, 0), 12, 1},   // resolved at the root
+		{addr(10, 1, 128, 0), 18, 2}, // second level
+		{addr(10, 1, 130, 64), 27, 3},
+		{addr(10, 1, 130, 77), 32, 4}, // third level, inside the /27
+	}
+	cases := []struct {
+		ip  packet.Addr
+		hop uint16
+		ok  bool
+	}{
+		{addr(10, 15, 255, 255), 1, true},
+		{addr(10, 16, 0, 0), 0, false},
+		{addr(10, 1, 127, 255), 1, true}, // same /16 as the /18, outside it
+		{addr(10, 1, 191, 255), 2, true},
+		{addr(10, 1, 192, 0), 1, true},
+		{addr(10, 1, 130, 63), 2, true}, // same /24 as the /27, outside it
+		{addr(10, 1, 130, 64), 3, true},
+		{addr(10, 1, 130, 95), 3, true},
+		{addr(10, 1, 130, 96), 2, true},
+		{addr(10, 1, 130, 77), 4, true},
+		{addr(10, 1, 130, 78), 3, true},
+	}
+	for _, reversed := range []bool{false, true} {
+		l := NewLPM()
+		for i := range routes {
+			r := routes[i]
+			if reversed {
+				r = routes[len(routes)-1-i]
+			}
+			if err := l.Add(r.p, r.len, r.hop); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range cases {
+			if hop, ok := l.Lookup(c.ip); ok != c.ok || hop != c.hop {
+				t.Errorf("reversed=%v: Lookup(%v) = %d,%v want %d,%v", reversed, c.ip, hop, ok, c.hop, c.ok)
+			}
+		}
+		if l.groups() != 2 {
+			t.Errorf("reversed=%v: %d groups allocated, want 2 (one /16's, one /24's)", reversed, l.groups())
+		}
+		if err := l.Delete(addr(10, 1, 128, 0), 18); err != nil {
+			t.Fatal(err)
+		}
+		for ip, want := range map[packet.Addr]uint16{
+			addr(10, 1, 191, 255): 1, addr(10, 1, 130, 63): 1, addr(10, 1, 130, 64): 3, addr(10, 1, 130, 77): 4,
+		} {
+			if hop, ok := l.Lookup(ip); !ok || hop != want {
+				t.Errorf("reversed=%v after deleting the /18: Lookup(%v) = %d,%v want %d", reversed, ip, hop, ok, want)
+			}
+		}
+	}
+}
+
+// TestLPMGroupExhaustionAndRelease fills every group, checks that the rule
+// that needs one more is refused whole (ErrNoTbl8, table and rule count
+// untouched) while rules that fit existing groups still go in, and that
+// Delete releases groups: the refused rule fits afterwards, and deleting
+// every long rule leaves the bare root.
+func TestLPMGroupExhaustionAndRelease(t *testing.T) {
+	l := NewLPM()
+	if err := l.Add(0, 0, 9); err != nil {
+		t.Fatal(err)
+	}
+	// One /24 per /16 takes one group each.
+	for g := 0; g < maxGroups; g++ {
+		if err := l.Add(packet.Addr(uint32(g)<<16), 24, 1); err != nil {
+			t.Fatalf("/24 number %d: %v", g, err)
+		}
+	}
+	if l.groups() != maxGroups {
+		t.Fatalf("%d groups allocated, want %d", l.groups(), maxGroups)
+	}
+	rules := l.Rules()
+	fresh16 := packet.Addr(uint32(maxGroups) << 16)
+	for _, length := range []int{17, 24, 25, 32} {
+		if err := l.Add(fresh16, length, 2); err != ErrNoTbl8 {
+			t.Errorf("/%d in an unexpanded /16 with no group left: err = %v, want ErrNoTbl8", length, err)
+		}
+	}
+	// A /32 inside an expanded /16 has its first group and lacks its second.
+	if err := l.Add(addr(0, 5, 0, 1), 32, 2); err != ErrNoTbl8 {
+		t.Errorf("/32 needing one more group: err = %v, want ErrNoTbl8", err)
+	}
+	if l.Rules() != rules || l.groups() != maxGroups {
+		t.Errorf("refused rules left a trace: %d rules (want %d), %d groups", l.Rules(), rules, l.groups())
+	}
+	if hop, ok := l.Lookup(fresh16); !ok || hop != 9 {
+		t.Errorf("refused rule changed a lookup: %d,%v", hop, ok)
+	}
+	// No new group needed: a second /24 in an expanded /16, and a short rule.
+	if err := l.Add(addr(0, 5, 7, 0), 24, 3); err != nil {
+		t.Errorf("/24 in an existing group: %v", err)
+	}
+	if err := l.Add(fresh16, 16, 4); err != nil {
+		t.Errorf("/16 at the root: %v", err)
+	}
+
+	if err := l.Delete(addr(0, 9, 0, 0), 24); err != nil {
+		t.Fatal(err)
+	}
+	if l.groups() != maxGroups-1 {
+		t.Fatalf("deleting a /16's only long rule left %d groups, want %d", l.groups(), maxGroups-1)
+	}
+	if err := l.Add(fresh16, 24, 2); err != nil {
+		t.Errorf("the refused /24 after a group was released: %v", err)
+	}
+	if hop, _ := l.Lookup(fresh16 + 1); hop != 2 {
+		t.Errorf("new /24 not in effect: hop %d", hop)
+	}
+	if hop, _ := l.Lookup(fresh16 + 256); hop != 4 {
+		t.Errorf("/16 beside the new /24 lost: hop %d", hop)
+	}
+}
+
+// TestLPMDeleteReleasesEveryGroup empties a table of its long rules one by
+// one: the group count must fall back to zero and the storage to the root.
+func TestLPMDeleteReleasesEveryGroup(t *testing.T) {
+	l := NewLPM()
+	l.Add(addr(10, 0, 0, 0), 8, 1)
+	long := []struct {
+		p   packet.Addr
+		len int
+	}{{addr(10, 1, 2, 0), 24}, {addr(10, 1, 2, 128), 25}, {addr(20, 0, 0, 1), 32}, {addr(30, 3, 0, 0), 17}}
+	for _, r := range long {
+		if err := l.Add(r.p, r.len, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.groups() != 5 { // 10.1/16, 10.1.2/24, 20.0/16, 20.0.0/24, 30.3/16
+		t.Fatalf("%d groups allocated, want 5", l.groups())
+	}
+	for _, r := range long {
+		if err := l.Delete(r.p, r.len); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if l.groups() != 0 || len(l.tbl) != rootSize || len(l.depth) != rootSize {
+		t.Errorf("after deleting every long rule: %d groups, %d entries", l.groups(), len(l.tbl))
+	}
+	if hop, ok := l.Lookup(addr(10, 1, 2, 200)); !ok || hop != 1 {
+		t.Errorf("the /8 does not cover the deleted ranges: %d,%v", hop, ok)
+	}
+}
+
+// TestLPMSmallTableIsSmall pins the footprint the trie exists for: a table
+// with two short routes — what the forwarding examples and the benchmark
+// install — retains under 1 MiB of heap (DIR-24-8 took 48 MiB).
+func TestLPMSmallTableIsSmall(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	l := NewLPM()
+	l.Add(0, 1, 0)
+	l.Add(addr(128, 0, 0, 0), 2, 1)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if retained := int64(after.HeapAlloc) - int64(before.HeapAlloc); retained >= 1<<20 {
+		t.Errorf("NewLPM plus two short routes retains %d bytes, want < 1 MiB", retained)
+	}
+	if hop, ok := l.Lookup(addr(130, 0, 0, 1)); !ok || hop != 1 {
+		t.Errorf("Lookup = %d,%v", hop, ok)
 	}
 }
 

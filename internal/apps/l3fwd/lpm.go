@@ -1,24 +1,30 @@
 // Package l3fwd reimplements DPDK's L3 Forwarding sample application in its
 // longest-prefix-match flavour (the computation-heavier of its two modes,
-// which is the one the paper evaluates): a DIR-24-8 LPM table, MAC
-// rewriting, TTL decrement with incremental checksum update.
+// which is the one the paper evaluates): an LPM table, MAC rewriting, TTL
+// decrement with incremental checksum update.
+//
+// The table is a 16-8-8 multibit trie, not rte_lpm's DIR-24-8: a direct
+// 64 Ki-entry root indexed by the top 16 address bits plus 256-entry groups
+// allocated on demand for longer prefixes. An empty table is 192 KiB and
+// grows by 768 B per group, so it stays cache-resident and costs O(routes)
+// memory where DIR-24-8's flat 2^24-entry first level costs 48 MiB with
+// depths and a TLB miss per random lookup.
 package l3fwd
 
 import (
 	"errors"
-	"fmt"
 
 	"metronome/internal/packet"
 )
 
-// DIR-24-8 constants, as in rte_lpm.
+// Trie geometry and entry encoding (the entry bits are rte_lpm's).
 const (
-	tbl24Size  = 1 << 24
-	tbl8Groups = 256 // allocatable /24-expansion groups
-	tbl8Size   = 256
+	rootSize  = 1 << 16 // root entries: one per /16
+	groupSize = 256     // entries per group: 8 more address bits
+	maxGroups = 1 << 14 // what an entry's value bits can address
 
-	flagValid = 1 << 15 // entry holds a route (or a tbl8 index)
-	flagExt   = 1 << 14 // entry points into tbl8
+	flagValid = 1 << 15 // entry holds a route (or a group index)
+	flagExt   = 1 << 14 // entry points to a group one level down
 	valueMask = flagExt - 1
 )
 
@@ -29,22 +35,18 @@ var (
 	ErrHopTooLarge = errors.New("l3fwd: next hop exceeds 14 bits")
 )
 
-type rule struct {
-	prefix packet.Addr
-	length int
-	hop    uint16
-}
-
-// LPM is a DIR-24-8 longest-prefix-match table: one 16M-entry direct table
-// for the first 24 bits and on-demand /8 expansion tables, giving the
-// 1-or-2 memory-access lookups that let DPDK route at line rate.
+// LPM is a longest-prefix-match table over IPv4: a 16-8-8 multibit trie
+// with every prefix expanded onto the entries it covers, so a lookup is one
+// load for destinations whose best route is a /16 or shorter, two up to
+// /24, three at most.
 type LPM struct {
-	tbl24   []uint16
-	depth24 []uint8 // prefix length that wrote each tbl24 entry
-	tbl8    []uint16
-	depth8  []uint8
-	used    []bool // tbl8 group allocation map
-	rules   map[ruleKey]uint16
+	// tbl holds the root (entries [0, rootSize)) followed by the groups;
+	// depth is the prefix length that wrote each route entry, which is what
+	// keeps a shorter prefix from overwriting a longer one whatever the
+	// insertion order.
+	tbl   []uint16
+	depth []uint8
+	rules map[ruleKey]uint16
 }
 
 type ruleKey struct {
@@ -52,17 +54,17 @@ type ruleKey struct {
 	length int
 }
 
-// NewLPM allocates an empty table (about 48 MiB for tbl24+depths, on the
-// order of rte_lpm's footprint).
+// NewLPM allocates an empty table: the root and no groups.
 func NewLPM() *LPM {
-	return &LPM{
-		tbl24:   make([]uint16, tbl24Size),
-		depth24: make([]uint8, tbl24Size),
-		tbl8:    make([]uint16, tbl8Groups*tbl8Size),
-		depth8:  make([]uint8, tbl8Groups*tbl8Size),
-		used:    make([]bool, tbl8Groups),
-		rules:   make(map[ruleKey]uint16),
-	}
+	l := &LPM{rules: make(map[ruleKey]uint16)}
+	l.reset()
+	return l
+}
+
+// reset drops every installed entry and releases every group.
+func (l *LPM) reset() {
+	l.tbl = make([]uint16, rootSize)
+	l.depth = make([]uint8, rootSize)
 }
 
 func mask(length int) packet.Addr {
@@ -72,7 +74,9 @@ func mask(length int) packet.Addr {
 	return packet.Addr(^uint32(0) << (32 - uint(length)))
 }
 
-// Add installs prefix/length -> hop, replacing any identical rule.
+// Add installs prefix/length -> hop, replacing any identical rule. It
+// returns ErrNoTbl8, and installs nothing, when the rule needs a group and
+// all maxGroups are in use.
 func (l *LPM) Add(prefix packet.Addr, length int, hop uint16) error {
 	if length < 0 || length > 32 {
 		return ErrBadPrefix
@@ -81,94 +85,83 @@ func (l *LPM) Add(prefix packet.Addr, length int, hop uint16) error {
 		return ErrHopTooLarge
 	}
 	prefix &= mask(length)
+	if err := l.install(prefix, length, hop); err != nil {
+		return err
+	}
 	l.rules[ruleKey{prefix, length}] = hop
-	return l.install(prefix, length, hop)
-}
-
-// install writes a rule into the tables without touching deeper (more
-// specific) existing entries.
-func (l *LPM) install(prefix packet.Addr, length int, hop uint16) error {
-	if length <= 24 {
-		first := uint32(prefix) >> 8
-		count := uint32(1) << (24 - uint(length))
-		for i := first; i < first+count; i++ {
-			e := l.tbl24[i]
-			if e&flagExt != 0 {
-				// The /24 is expanded: update the group's entries that are
-				// not more specific than us.
-				l.fillTbl8(int(e&valueMask), length, hop)
-				continue
-			}
-			// Overwrite only if we are at least as specific as what's there.
-			if e&flagValid == 0 || l.depth24[i] <= uint8(length) {
-				l.tbl24[i] = flagValid | hop
-				l.depth24[i] = uint8(length)
-			}
-		}
-		return nil
-	}
-	// length 25..32: needs (possibly) a tbl8 group for its /24.
-	idx24 := uint32(prefix) >> 8
-	e := l.tbl24[idx24]
-	var group int
-	if e&flagExt == 0 {
-		g, err := l.allocTbl8()
-		if err != nil {
-			return err
-		}
-		group = g
-		// Seed the group with the previous /24 coverage.
-		var seed uint16
-		var seedDepth uint8
-		if e&flagValid != 0 {
-			seed = flagValid | e&valueMask
-			seedDepth = l.depth24[idx24]
-		}
-		base := group * tbl8Size
-		for i := 0; i < tbl8Size; i++ {
-			l.tbl8[base+i] = seed
-			l.depth8[base+i] = seedDepth
-		}
-		l.tbl24[idx24] = flagValid | flagExt | uint16(group)
-	} else {
-		group = int(e & valueMask)
-	}
-	base := group * tbl8Size
-	first := int(uint32(prefix) >> 0 & 0xff)
-	count := 1 << (32 - uint(length))
-	for i := first; i < first+count; i++ {
-		if l.tbl8[base+i]&flagValid == 0 || l.depth8[base+i] <= uint8(length) {
-			l.tbl8[base+i] = flagValid | hop
-			l.depth8[base+i] = uint8(length)
-		}
-	}
 	return nil
 }
 
-// fillTbl8 overwrites the entries of a group that are shallower than depth.
-func (l *LPM) fillTbl8(group, depth int, hop uint16) {
-	base := group * tbl8Size
-	for i := 0; i < tbl8Size; i++ {
-		if l.tbl8[base+i]&flagValid == 0 || l.depth8[base+i] <= uint8(depth) {
-			l.tbl8[base+i] = flagValid | hop
-			l.depth8[base+i] = uint8(depth)
-		}
+// groupBase returns the index in tbl of the first entry of the group an
+// extended entry points to.
+func groupBase(e uint16) int { return rootSize + int(e&valueMask)*groupSize }
+
+// install writes a rule into the trie without touching deeper (more
+// specific) existing entries: it walks down to the node that resolves the
+// prefix length, creating the groups on the way, and expands the prefix
+// over the entries it covers there.
+func (l *LPM) install(prefix packet.Addr, length int, hop uint16) error {
+	ip := uint32(prefix)
+	levels := 0 // groups between the root and that node
+	if length > 16 {
+		levels = (length - 9) / 8
 	}
+	// Follow the groups that exist; the rest of the way has to be created,
+	// and a rule that does not fit must leave the table untouched.
+	missing, e := levels, l.tbl[ip>>16]
+	for shift := 8; missing > 0 && e&flagExt != 0; missing, shift = missing-1, shift-8 {
+		e = l.tbl[groupBase(e)+int(ip>>uint(shift)&0xff)]
+	}
+	if l.groups()+missing > maxGroups {
+		return ErrNoTbl8
+	}
+
+	i := int(ip >> 16)
+	for shift := 8; shift > 8-8*levels; shift -= 8 {
+		if l.tbl[i]&flagExt == 0 {
+			g := l.newGroup(l.tbl[i], l.depth[i]) // may move tbl: finish before indexing it
+			l.tbl[i] = flagValid | flagExt | g
+		}
+		i = groupBase(l.tbl[i]) + int(ip>>uint(shift)&0xff)
+	}
+	l.fill(i, 1<<uint(16+8*levels-length), uint8(length), hop)
+	return nil
 }
 
-func (l *LPM) allocTbl8() (int, error) {
-	for g, u := range l.used {
-		if !u {
-			l.used[g] = true
-			return g, nil
+// groups returns the number of groups allocated.
+func (l *LPM) groups() int { return (len(l.tbl) - rootSize) / groupSize }
+
+// newGroup appends a group whose entries all repeat the route entry (and
+// depth) it is about to replace, and returns its index.
+func (l *LPM) newGroup(seed uint16, seedDepth uint8) uint16 {
+	g := l.groups()
+	for i := 0; i < groupSize; i++ {
+		l.tbl = append(l.tbl, seed)
+		l.depth = append(l.depth, seedDepth)
+	}
+	return uint16(g)
+}
+
+// fill writes hop at prefix length depth over count entries from first,
+// into every group below them too, wherever the route there is not more
+// specific than depth.
+func (l *LPM) fill(first, count int, depth uint8, hop uint16) {
+	for i := first; i < first+count; i++ {
+		switch e := l.tbl[i]; {
+		case e&flagExt != 0:
+			l.fill(groupBase(e), groupSize, depth, hop)
+		case e&flagValid == 0 || l.depth[i] <= depth:
+			l.tbl[i] = flagValid | hop
+			l.depth[i] = depth
 		}
 	}
-	return 0, ErrNoTbl8
 }
 
 // Delete removes prefix/length and restores coverage from the next-best
-// remaining rule, rebuilding the affected range (rte_lpm does the same
-// "find parent rule" dance).
+// remaining rules by rebuilding the trie from the rule set, which also
+// releases the groups nothing needs any more. That is O(rules x range),
+// microseconds for tables that fit a cache; deletions are control-plane
+// rare.
 func (l *LPM) Delete(prefix packet.Addr, length int) error {
 	if length < 0 || length > 32 {
 		return ErrBadPrefix
@@ -178,45 +171,27 @@ func (l *LPM) Delete(prefix packet.Addr, length int) error {
 		return ErrNoRoute
 	}
 	delete(l.rules, ruleKey{prefix, length})
-	// Rebuild from scratch in rule-length order. Simpler than surgical
-	// repair and still O(rules * range); deletions are control-plane rare.
-	for i := range l.tbl24 {
-		l.tbl24[i] = 0
-		l.depth24[i] = 0
-	}
-	for i := range l.tbl8 {
-		l.tbl8[i] = 0
-		l.depth8[i] = 0
-	}
-	for g := range l.used {
-		l.used[g] = false
-	}
-	for length := 0; length <= 32; length++ {
-		for k, hop := range l.rules {
-			if k.length == length {
-				if err := l.install(k.prefix, k.length, hop); err != nil {
-					return fmt.Errorf("l3fwd: rebuild: %w", err)
-				}
-			}
+	l.reset()
+	for k, hop := range l.rules {
+		// Cannot fail: the groups a rule set needs do not depend on
+		// insertion order, and this set fitted before.
+		if err := l.install(k.prefix, k.length, hop); err != nil {
+			panic("l3fwd: rebuild: " + err.Error())
 		}
 	}
 	return nil
 }
 
-// Lookup resolves the next hop for ip with at most two memory accesses.
+// Lookup resolves the next hop for ip with at most three dependent loads.
 func (l *LPM) Lookup(ip packet.Addr) (uint16, bool) {
-	e := l.tbl24[uint32(ip)>>8]
-	if e&flagValid == 0 {
-		return 0, false
+	e := l.tbl[uint32(ip)>>16]
+	if e&flagExt != 0 {
+		e = l.tbl[groupBase(e)+int(uint32(ip)>>8&0xff)]
+		if e&flagExt != 0 {
+			e = l.tbl[groupBase(e)+int(ip&0xff)]
+		}
 	}
-	if e&flagExt == 0 {
-		return e & valueMask, true
-	}
-	e8 := l.tbl8[int(e&valueMask)*tbl8Size+int(ip&0xff)]
-	if e8&flagValid == 0 {
-		return 0, false
-	}
-	return e8 & valueMask, true
+	return e & valueMask, e&flagValid != 0
 }
 
 // Rules returns the number of installed rules.

@@ -4,12 +4,13 @@
 // use by producer and consumer threads.
 //
 // The pool is built like rte_mempool: a lock-free shared backing store (an
-// MPMC bulk ring from internal/ring) fronted by optional per-thread
+// MPMC head/tail ring from internal/ring) fronted by optional per-thread
 // magazine caches (Pool.NewCache). The cached burst paths — Cache.GetBurst
 // and Cache.PutBurst — serve and absorb whole bursts out of thread-local
 // storage and touch the shared ring only in watermark-sized spans, so the
 // steady-state cost of leasing a buffer is a few local slice operations,
-// not a contended lock acquisition. Pool.Get and Mbuf.Free remain as the
+// and a spill or refill costs O(1) atomic operations plus a block copy
+// however long the span. Pool.Get and Mbuf.Free remain as the
 // degenerate single-element path (one lock-free ring operation each), so
 // callers that predate the caches keep working unchanged.
 package mbuf
@@ -76,13 +77,10 @@ func (m *Mbuf) SetFrame(frame []byte) {
 // Threads with a Cache should prefer Cache.PutBurst (or Recycler.FreeBurst
 // for mixed-pool bursts), which batch the return.
 //
-// Free goes through the ring's burst path rather than the single-element
-// Enqueue: Enqueue reports false for a slot a concurrent DequeueBurst has
-// reserved but not yet published — a legal, momentary state, not overflow —
-// while the burst path waits that peer out and comes up short only on a
-// true capacity shortfall. Overflow (a foreign or double-freed buffer
-// pushing the ring past the pool size) therefore still panics, but a
-// transient ring state never does.
+// Overflow (a foreign or double-freed buffer pushing the ring past the
+// pool size) panics. A legal Free never does: the ring counts a slot as
+// taken until the consumer that emptied it has published, and a buffer only
+// reaches a caller after that, so the pool's own buffers always fit.
 func (m *Mbuf) Free() {
 	if m.pool == nil {
 		panic("mbuf: double free or foreign buffer")
@@ -164,13 +162,11 @@ func (p *Pool) Available() int { return p.free.Len() }
 // is the degenerate single-element path; burst producers should lease
 // through a Cache.
 //
-// Like Free, Get uses the ring's burst machinery so that a buffer a
-// concurrent PutBurst spill has reserved into the ring but not yet
-// published is awaited, not misread as exhaustion. ErrExhausted therefore
-// means the ring really held nothing at the attempt — though buffers may
-// still be resident in per-thread Caches (see Available), so callers that
-// must not drop should retry after yielding rather than charge a drop on
-// the first failure.
+// ErrExhausted means the ring held no published buffer at the attempt.
+// Buffers a concurrent PutBurst spill is still writing into the ring do not
+// count yet (see ring.MPMC), and others may be resident in per-thread
+// Caches (see Available), so callers that must not drop should retry after
+// yielding rather than charge a drop on the first failure.
 func (p *Pool) Get() (*Mbuf, error) {
 	var one [1]*Mbuf
 	if p.getSpan(one[:]) == 0 {

@@ -1,8 +1,8 @@
 // Package ring provides bounded lock-free rings in the mould of DPDK's
-// rte_ring: a multi-producer/multi-consumer queue (Vyukov bounded MPMC)
-// and a faster single-producer/single-consumer variant. The real-time
-// Metronome runtime uses them as Rx queues between traffic sources and the
-// retrieval threads.
+// rte_ring: a multi-producer/multi-consumer head/tail ring and a faster
+// single-producer/single-consumer variant. The real-time Metronome runtime
+// uses them as Rx queues between traffic sources and the retrieval threads,
+// and internal/mbuf as the mempool's shared free store.
 package ring
 
 import (
@@ -14,26 +14,95 @@ import (
 // ErrBadCapacity reports a capacity that is not a power of two >= 2.
 var ErrBadCapacity = errors.New("ring: capacity must be a power of two >= 2")
 
-type slot[T any] struct {
-	seq atomic.Uint64
-	val T
+// cursors is one side (producers or consumers) of an MPMC ring, rte_ring's
+// rte_ring_headtail: head is the next position to reserve, tail the bound
+// below which every position of this side is published. The pair fills one
+// cache line, so the two sides never share one.
+type cursors struct {
+	head atomic.Uint64
+	tail atomic.Uint64
+	_    [48]byte
 }
 
-// MPMC is a bounded multi-producer/multi-consumer ring. All methods are
-// safe for concurrent use and full/empty conditions return false/0
-// immediately, exactly like rte_ring's enqueue/dequeue calls. Like
-// rte_ring, the burst paths reserve a whole span with one CAS and may then
-// wait for a peer that reserved an overlapping slot earlier to publish its
-// read or write — a wait bounded by that peer's few remaining instructions
-// (plus its rescheduling latency if it was preempted mid-operation), not
-// by queue state. Single-element Enqueue/Dequeue never wait.
+// reserve claims up to want consecutive positions with one CAS on head and
+// returns the first and the count. The claim is bounded by slack plus the
+// peer side's tail — what the peer has published: freed slots for a
+// producer (slack = capacity), filled ones for a consumer (slack = 0). A
+// zero count means the ring was full (empty) when head was read; reserve
+// never waits. A head that went stale between the two loads can only
+// overestimate the bound, and then the CAS fails and the loop re-reads.
+func (c *cursors) reserve(peer *cursors, slack uint64, want int) (pos, n uint64) {
+	for {
+		pos = c.head.Load()
+		n = slack + peer.tail.Load() - pos
+		if n > uint64(want) {
+			n = uint64(want)
+		}
+		if n == 0 || c.head.CompareAndSwap(pos, pos+n) {
+			return pos, n
+		}
+	}
+}
+
+// publish makes the span [pos, pos+n) visible to the peer side with one
+// ordered tail store — the operation's linearisation point. Spans publish
+// in reservation order, so a span first waits for every earlier one of its
+// side: a wait bounded by those peers' few remaining instructions (exactly
+// rte_ring's tail-update wait), and the periodic Gosched keeps a peer that
+// was preempted between its CAS and its tail store from starving us on a
+// loaded machine.
+func (c *cursors) publish(pos, n uint64) {
+	for spin := 0; c.tail.Load() != pos; spin++ {
+		if spin >= 128 {
+			runtime.Gosched()
+			spin = 0
+		}
+	}
+	c.tail.Store(pos + n)
+}
+
+// store copies in into the ring's slots from index at on, wrapping at the
+// end of buf: at most two block copies. len(in) <= len(buf).
+func store[T any](buf []T, at uint64, in []T) {
+	k := copy(buf[at:], in)
+	copy(buf, in[k:])
+}
+
+// take moves len(out) elements out of the ring's slots from index at on,
+// wrapping like store, and zeroes the vacated slots so the ring does not
+// pin what it no longer holds.
+func take[T any](buf []T, at uint64, out []T) {
+	first := buf[at:]
+	k := copy(out, first)
+	clear(first[:k])
+	w := copy(out[k:], buf)
+	clear(buf[:w])
+}
+
+// MPMC is a bounded multi-producer/multi-consumer ring with rte_ring's
+// head/tail protocol. All methods are safe for concurrent use.
+//
+// Every operation is a span of n >= 1 elements (Enqueue and Dequeue are the
+// n = 1 case): one CAS on its side's head reserves the span, the elements
+// move with plain loads and stores, and one ordered store of its side's
+// tail publishes the whole span. The contract:
+//
+//   - An operation takes effect at its tail store. Elements of a span that
+//     is reserved but not yet published do not exist for the other side:
+//     consumers cannot see them, producers cannot reuse their slots, and Len
+//     does not count them.
+//   - Full and empty return false/0 immediately, like rte_ring's enqueue and
+//     dequeue calls; a burst that fits partly moves what fits.
+//   - Any operation, n = 1 included, may wait between moving its elements
+//     and publishing them for a same-side peer that reserved earlier and has
+//     not published yet (see cursors.publish). That wait depends on the
+//     peer's scheduling, never on queue state.
 type MPMC[T any] struct {
-	mask    uint64
-	slots   []slot[T]
-	_       [56]byte // keep head and tail on separate cache lines
-	enqueue atomic.Uint64
-	_       [56]byte
-	dequeue atomic.Uint64
+	mask uint64
+	buf  []T
+	_    [32]byte // keep the cursor pairs off the header's cache line
+	prod cursors
+	cons cursors
 }
 
 // NewMPMC returns a ring holding up to capacity items.
@@ -41,155 +110,74 @@ func NewMPMC[T any](capacity int) (*MPMC[T], error) {
 	if capacity < 2 || capacity&(capacity-1) != 0 {
 		return nil, ErrBadCapacity
 	}
-	r := &MPMC[T]{
-		mask:  uint64(capacity - 1),
-		slots: make([]slot[T], capacity),
-	}
-	for i := range r.slots {
-		r.slots[i].seq.Store(uint64(i))
-	}
-	return r, nil
+	return &MPMC[T]{mask: uint64(capacity - 1), buf: make([]T, capacity)}, nil
 }
 
 // Cap returns the ring capacity.
-func (r *MPMC[T]) Cap() int { return len(r.slots) }
+func (r *MPMC[T]) Cap() int { return len(r.buf) }
 
-// Len returns an instantaneous (racy) element count, useful for occupancy
-// metrics only.
+// Len returns the number of published elements not yet released by a
+// consumer (rte_ring_count) — an instantaneous, racy figure for occupancy
+// metrics, always within [0, Cap]. Spans still being written are not
+// counted.
 func (r *MPMC[T]) Len() int {
-	d := r.enqueue.Load() - r.dequeue.Load()
-	if d > uint64(len(r.slots)) {
-		return len(r.slots)
+	// Consumer side first: read in this order the difference cannot go
+	// negative, only (when both sides advance between the loads) past Cap.
+	released := r.cons.tail.Load()
+	d := r.prod.tail.Load() - released
+	if d > uint64(len(r.buf)) {
+		return len(r.buf)
 	}
 	return int(d)
 }
 
 // Enqueue adds v; it reports false when the ring is full.
 func (r *MPMC[T]) Enqueue(v T) bool {
-	pos := r.enqueue.Load()
-	for {
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos:
-			if r.enqueue.CompareAndSwap(pos, pos+1) {
-				s.val = v
-				s.seq.Store(pos + 1)
-				return true
-			}
-			pos = r.enqueue.Load()
-		case seq < pos:
-			return false // slot not yet consumed: full
-		default:
-			pos = r.enqueue.Load()
-		}
+	pos, n := r.prod.reserve(&r.cons, uint64(len(r.buf)), 1)
+	if n == 0 {
+		return false
 	}
+	r.buf[pos&r.mask] = v
+	r.prod.publish(pos, 1)
+	return true
 }
 
 // Dequeue removes the oldest element; ok is false when the ring is empty.
 func (r *MPMC[T]) Dequeue() (v T, ok bool) {
-	pos := r.dequeue.Load()
-	for {
-		s := &r.slots[pos&r.mask]
-		seq := s.seq.Load()
-		switch {
-		case seq == pos+1:
-			if r.dequeue.CompareAndSwap(pos, pos+1) {
-				v = s.val
-				var zero T
-				s.val = zero
-				s.seq.Store(pos + r.mask + 1)
-				return v, true
-			}
-			pos = r.dequeue.Load()
-		case seq <= pos:
-			return v, false // slot not yet produced: empty
-		default:
-			pos = r.dequeue.Load()
-		}
+	pos, n := r.cons.reserve(&r.prod, 0, 1)
+	if n == 0 {
+		return v, false
 	}
+	s := &r.buf[pos&r.mask]
+	v = *s
+	var zero T
+	*s = zero
+	r.cons.publish(pos, 1)
+	return v, true
 }
 
-// awaitSeq spins until the slot's sequence reaches want — the moment the
-// peer that previously reserved it publishes its read or write. The wait is
-// bounded by that peer's few remaining instructions (exactly rte_ring's
-// tail-update wait); the periodic Gosched keeps a preempted peer from
-// starving us on a loaded machine.
-func awaitSeq(s *atomic.Uint64, want uint64) {
-	for spin := 0; s.Load() != want; spin++ {
-		if spin >= 128 {
-			runtime.Gosched()
-			spin = 0
-		}
-	}
-}
-
-// DequeueBurst moves up to len(out) elements into out and returns the
-// count, mirroring rte_eth_rx_burst semantics. Like rte_ring's bulk path,
-// it reserves the whole span with a single CAS on the consumer cursor and
-// then drains the slots in order, instead of paying one CAS per element.
-func (r *MPMC[T]) DequeueBurst(out []T) int {
-	if len(out) == 0 {
+// EnqueueBurst adds as many elements of in as fit and returns the count
+// (rte_ring's burst enqueue): O(1) atomic operations however long the
+// burst, the elements themselves go in as at most two block copies.
+func (r *MPMC[T]) EnqueueBurst(in []T) int {
+	pos, n := r.prod.reserve(&r.cons, uint64(len(r.buf)), len(in))
+	if n == 0 {
 		return 0
 	}
-	var pos, n uint64
-	for {
-		pos = r.dequeue.Load()
-		// Conservative availability: the producer cursor counts reserved
-		// writes, and any not yet published are awaited below.
-		avail := r.enqueue.Load() - pos
-		n = uint64(len(out))
-		if n > avail {
-			n = avail
-		}
-		if n == 0 {
-			return 0
-		}
-		if r.dequeue.CompareAndSwap(pos, pos+n) {
-			break
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		s := &r.slots[(pos+i)&r.mask]
-		awaitSeq(&s.seq, pos+i+1)
-		out[i] = s.val
-		var zero T
-		s.val = zero
-		s.seq.Store(pos + i + r.mask + 1)
-	}
+	store(r.buf, pos&r.mask, in[:n])
+	r.prod.publish(pos, n)
 	return int(n)
 }
 
-// EnqueueBurst adds as many elements of in as fit and returns the count.
-// One CAS on the producer cursor reserves the span; slots are then filled
-// and published in order (rte_ring bulk enqueue).
-func (r *MPMC[T]) EnqueueBurst(in []T) int {
-	if len(in) == 0 {
+// DequeueBurst moves up to len(out) elements into out and returns the
+// count, mirroring rte_eth_rx_burst semantics.
+func (r *MPMC[T]) DequeueBurst(out []T) int {
+	pos, n := r.cons.reserve(&r.prod, 0, len(out))
+	if n == 0 {
 		return 0
 	}
-	var pos, n uint64
-	for {
-		pos = r.enqueue.Load()
-		// Conservative free count: the consumer cursor counts reserved
-		// reads; a slot whose read is still in flight is awaited below.
-		free := uint64(len(r.slots)) - (pos - r.dequeue.Load())
-		n = uint64(len(in))
-		if n > free {
-			n = free
-		}
-		if n == 0 {
-			return 0
-		}
-		if r.enqueue.CompareAndSwap(pos, pos+n) {
-			break
-		}
-	}
-	for i := uint64(0); i < n; i++ {
-		s := &r.slots[(pos+i)&r.mask]
-		awaitSeq(&s.seq, pos+i)
-		s.val = in[i]
-		s.seq.Store(pos + i + 1)
-	}
+	take(r.buf, pos&r.mask, out[:n])
+	r.cons.publish(pos, n)
 	return int(n)
 }
 
@@ -259,7 +247,8 @@ func (r *SPSC[T]) Dequeue() (v T, ok bool) {
 // This is the single-producer bulk fast path: one acquire load of the
 // consumer cursor bounds the batch, the slots are filled with plain stores,
 // and a single release store of the producer cursor publishes the whole
-// burst — no CAS, no per-slot sequence traffic (compare MPMC.EnqueueBurst).
+// burst — the MPMC span protocol minus the CAS and the wait for earlier
+// spans (there are none).
 func (r *SPSC[T]) EnqueueBurst(in []T) int {
 	r.prod.enter("producer")
 	head := r.head.Load()
@@ -267,10 +256,8 @@ func (r *SPSC[T]) EnqueueBurst(in []T) int {
 	if n > uint64(len(in)) {
 		n = uint64(len(in))
 	}
-	for i := uint64(0); i < n; i++ {
-		r.buf[(head+i)&r.mask] = in[i]
-	}
 	if n > 0 {
+		store(r.buf, head&r.mask, in[:n])
 		r.head.Store(head + n)
 	}
 	r.prod.exit()
@@ -288,13 +275,8 @@ func (r *SPSC[T]) DequeueBurst(out []T) int {
 	if n > uint64(len(out)) {
 		n = uint64(len(out))
 	}
-	var zero T
-	for i := uint64(0); i < n; i++ {
-		idx := (tail + i) & r.mask
-		out[i] = r.buf[idx]
-		r.buf[idx] = zero
-	}
 	if n > 0 {
+		take(r.buf, tail&r.mask, out[:n])
 		r.tail.Store(tail + n)
 	}
 	r.cons.exit()

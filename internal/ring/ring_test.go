@@ -350,7 +350,7 @@ func TestMPMCBurstContended(t *testing.T) {
 }
 
 // TestMPMCBurstMixedWithSingle interleaves bulk and single-element
-// operations on the same ring: the two reservation styles must compose.
+// operations on the same ring: n = 1 spans and longer ones must compose.
 func TestMPMCBurstMixedWithSingle(t *testing.T) {
 	r, _ := NewMPMC[int](32)
 	n := soak(t, 20000)

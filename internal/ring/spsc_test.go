@@ -160,7 +160,7 @@ func benchSPSCBurst(b *testing.B, size int) {
 // BenchmarkSPSCBurst32 against BenchmarkMPMCBurst32Bulk (ring_test.go) is
 // the committed fast-path comparison: same burst size, same capacity, the
 // only delta is SPSC's two-loads-one-store cursor protocol vs MPMC's
-// CAS + per-slot sequence traffic. BENCH_ring.json records the measured
+// CAS on head and ordered tail store per side. BENCH_ring.json records the measured
 // numbers.
 func BenchmarkSPSCBurst32(b *testing.B) { benchSPSCBurst(b, 32) }
 

@@ -69,7 +69,7 @@ func (q RingQueue) Len() int { return q.R.Len() }
 // SPSCQueue adapts a single-producer/single-consumer ring of mbufs to
 // RxRing — the fast path NewRxRing selects when a queue has exactly one
 // producer and one consumer: burst polls cost two atomic loads and one
-// release store instead of MPMC's CAS plus per-slot sequence traffic.
+// release store, without MPMC's CAS and its wait for earlier spans.
 type SPSCQueue struct {
 	R *ring.SPSC[*mbuf.Mbuf]
 }
@@ -140,7 +140,16 @@ type Config struct {
 	// M is the number of retrieval goroutines (default 3).
 	M int
 	// VBar is the target vacation period (default 200us: Go timers are
-	// coarser than hr_sleep, so the sweet spot sits higher than DPDK's).
+	// coarser than hr_sleep, so the target sits higher than DPDK's). It is
+	// what the policy asks the Sleeper for, not what the default GoSleeper
+	// delivers: on Linux a time.Sleep from a P that then goes idle rounds
+	// up to the netpoller's 1 ms epoll_wait granularity (measured
+	// overshoot p50 650-1070us for 50-475us requests), and the M
+	// goroutines' timers then fire in one clump (vacation p50 2.8us
+	// between them, then a millisecond of nothing). Vacations that short
+	// read to the load estimator as a busy queue, so the published rho
+	// over-reads at light load (0.23 measured at a true 0.03). VBar is
+	// also the unit of the saturated-queue linger (see Runner.linger).
 	VBar time.Duration
 	// TL is the backup timeout (default 50*VBar).
 	TL time.Duration
@@ -604,6 +613,7 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 		// for every burst — the steady state allocates nothing.
 		verdicts = make([]apps.Verdict, r.cfg.Burst)
 	}
+	lats := make([]uint64, 0, r.cfg.Burst) // per-burst latency scratch for the bus histogram
 	q := id % len(r.queues)
 	var busyTotal time.Duration // cumulative on-CPU time, published as duty
 	for ctx.Err() == nil {
@@ -680,6 +690,7 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 			r.publishOcc(q, began)
 		}
 		dark := r.faults != nil && r.faults.QueueDark(q)
+		stretch := began // start of the current stretch of unbroken service
 		for !dark {
 			// A dark queue's lock winner skips the drain entirely: the poll
 			// "sees" an empty ring while the producer keeps enqueuing, so the
@@ -687,26 +698,25 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 			// exactly like a blacked-out NIC queue.
 			n := r.queues[q].PollBurst(buf)
 			if n == 0 {
+				// Listing 2 releases on the first empty poll; a holder that
+				// has just served a long unbroken stretch first waits a
+				// moment for a held-up producer (see linger).
+				var refilled bool
+				if stretch, refilled = r.linger(q, stretch); refilled {
+					continue
+				}
 				break
 			}
 			r.Stats.Packets.Add(uint64(n))
 			r.Stats.Bursts.Add(1)
 			if r.pubGauges(q) {
 				r.bus.AddRx(q, uint64(n))
-				// Per-packet retrieval latency into the bus histogram: one
-				// monotonic-clock read per burst, one atomic add per stamped
-				// packet. Unstamped mbufs (producers that leave RxStampNs
-				// zero) are excluded rather than recorded as garbage epochs.
-				// Stamps are read BEFORE dispatch: emit recycles the mbufs,
-				// and a recycled buffer's stamp belongs to its next lease.
-				now := mbuf.Nanotime()
-				for _, m := range buf[:n] {
-					if m.RxStampNs > 0 {
-						if lat := now - m.RxStampNs; lat > 0 {
-							r.bus.RecordLatency(q, uint64(lat))
-						}
-					}
-				}
+				// Every stamped packet's retrieval latency goes into the bus
+				// histogram: one monotonic-clock read and a few atomic adds per
+				// burst. Stamps are read BEFORE dispatch: emit recycles the
+				// mbufs, and a recycled buffer's stamp belongs to its next
+				// lease.
+				r.bus.RecordLatencyBurst(q, burstLatencies(lats, mbuf.Nanotime(), buf[:n]))
 			}
 			if r.procs != nil {
 				r.procs[q].ProcessBurst(buf[:n], verdicts[:n])
@@ -757,6 +767,63 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 		}
 		r.cfg.Sleeper.Sleep(seconds(ts))
 	}
+}
+
+// lingerStretch is how many vacation targets of unbroken service earn a
+// lock holder one linger of up to VBar; see Runner.linger.
+const lingerStretch = 8
+
+// linger is the saturated-queue exception to Listing 2's "release on the
+// first empty poll". stretch is when the holder's current stretch of
+// unbroken service began. A stretch of lingerStretch vacation targets or
+// more means the queue has been backlogged all along (rho near 1), so an
+// empty poll far more likely says the producer was held up for a moment — a
+// preempted thread, a stolen vCPU — than that the load went away. The
+// paper's answer at rho -> 1 is a TS near zero, which a Sleeper with a
+// millisecond's granularity (GoSleeper, see hrtimer) cannot deliver: the
+// queue refills within microseconds of the producer's return and then
+// overflows or blocks it for the rest of that millisecond, so every hiccup
+// shorter than the ring is deep costs a millisecond of service, and a
+// faster drain turns more hiccups into such cycles. Instead the holder
+// watches the queue's occupancy probe for up to VBar. If packets show up it
+// keeps the lock and a new stretch starts: the next linger has to be earned
+// in full again, which bounds the waiting to 1/lingerStretch of the CPU the
+// thread was spending anyway and keeps a trickle from turning it into a busy
+// poller. Anything less than a full stretch, a queue without a probe, or a
+// VBar with no arrival ends the cycle as Listing 2 does; on the paper's
+// light and bursty loads no stretch is ever that long.
+func (r *Runner) linger(q int, stretch int64) (next int64, refilled bool) {
+	probe := r.lens[q]
+	if probe == nil {
+		return stretch, false
+	}
+	now := r.nanotime()
+	if now-stretch < lingerStretch*int64(r.cfg.VBar) {
+		return stretch, false
+	}
+	for deadline := now + int64(r.cfg.VBar); now < deadline; now = r.nanotime() {
+		if probe() > 0 {
+			return now, true
+		}
+	}
+	return stretch, false
+}
+
+// burstLatencies fills lats[:0] with now - RxStampNs for every packet of
+// the burst that has a latency to report and returns it. Unstamped mbufs
+// (producers that leave RxStampNs zero) are excluded rather than recorded as
+// garbage epochs, and so are non-positive differences. With cap(lats) >=
+// len(ms) it allocates nothing.
+func burstLatencies(lats []uint64, now int64, ms []*mbuf.Mbuf) []uint64 {
+	lats = lats[:0]
+	for _, m := range ms {
+		if m.RxStampNs > 0 {
+			if lat := now - m.RxStampNs; lat > 0 {
+				lats = append(lats, uint64(lat))
+			}
+		}
+	}
+	return lats
 }
 
 // StaticPoller is the comparator: one busy-spinning goroutine per queue,

@@ -899,3 +899,232 @@ func TestLiveBusLatencyHistogram(t *testing.T) {
 		t.Errorf("p99.9 = %d ns, want in [p50, 3s]", p999)
 	}
 }
+
+// TestBurstLatencyFoldMatchesPerPacket is the exactness property of the
+// drain loop's latency recording: folding a burst (burstLatencies, then one
+// Bus.RecordLatencyBurst) must leave every bucket of the bus histogram
+// exactly where the per-packet loop it replaced — one Bus.RecordLatency per
+// stamped packet with a positive latency — leaves it. Bursts are random in
+// length (empty included) and mix packets that waited about equally long
+// (long same-bucket runs, the common case), packets from another octave
+// (run breaks), unstamped packets and packets stamped at or after the clock
+// read (both excluded).
+func TestBurstLatencyFoldMatchesPerPacket(t *testing.T) {
+	const maxBurst = 64
+	rng := xrand.New(11)
+	pool := mbuf.NewPool(maxBurst)
+	ms := make([]*mbuf.Mbuf, maxBurst)
+	for i := range ms {
+		m, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = m
+	}
+	folded, perPacket := telemetry.NewBus(2, 1), telemetry.NewBus(2, 1)
+	lats := make([]uint64, 0, maxBurst)
+	for round := 0; round < 5000; round++ {
+		q := round & 1
+		burst := ms[:rng.Intn(maxBurst+1)]
+		now := int64(1)<<41 + int64(rng.Intn(1<<30))
+		typical := int64(1) << uint(rng.Intn(36))
+		for _, m := range burst {
+			switch rng.Intn(10) {
+			case 0:
+				m.RxStampNs = 0
+			case 1:
+				m.RxStampNs = now + int64(rng.Intn(3)) // latency 0, -1 or -2
+			case 2:
+				m.RxStampNs = now - (int64(1) << uint(rng.Intn(40)))
+			default:
+				m.RxStampNs = now - typical - int64(rng.Intn(int(typical/16)+1))
+			}
+		}
+		folded.RecordLatencyBurst(q, burstLatencies(lats, now, burst))
+		for _, m := range burst {
+			if m.RxStampNs > 0 {
+				if lat := now - m.RxStampNs; lat > 0 {
+					perPacket.RecordLatency(q, uint64(lat))
+				}
+			}
+		}
+	}
+	for q := 0; q < 2; q++ {
+		var got, want stats.LogHistogram
+		folded.SampleLatency(q, &got)
+		perPacket.SampleLatency(q, &want)
+		if want.N() == 0 {
+			t.Fatalf("queue %d: the reference recorded nothing", q)
+		}
+		for i := 0; i < stats.LogHistBuckets; i++ {
+			if got.CountAt(i) != want.CountAt(i) {
+				t.Fatalf("queue %d bucket %d: folded %d, per-packet %d", q, i, got.CountAt(i), want.CountAt(i))
+			}
+		}
+	}
+	mbuf.FreeBurst(ms)
+}
+
+// probeQueue is an RxQueue whose occupancy probe is scripted: Len reports 0
+// until it has been asked emptyProbes times, then 1. PollBurst is never used.
+type probeQueue struct {
+	emptyProbes, probes int
+}
+
+func (q *probeQueue) PollBurst([]*mbuf.Mbuf) int { return 0 }
+func (q *probeQueue) Len() int {
+	q.probes++
+	if q.probes > q.emptyProbes {
+		return 1
+	}
+	return 0
+}
+
+// opaqueQueue hides a queue's Len, the way a source without an occupancy
+// probe looks to the runner.
+type opaqueQueue struct{ RxQueue }
+
+// TestLingerRules pins the saturated-queue exception's three rules on the
+// function itself: only a full stretch of lingerStretch*VBar earns a linger,
+// a linger ends the moment the probe sees packets and starts a new stretch,
+// and one that sees nothing gives up after VBar with the stretch unchanged.
+func TestLingerRules(t *testing.T) {
+	nop := func([]*mbuf.Mbuf) {}
+	full := func(r *Runner) int64 { return r.nanotime() - lingerStretch*int64(r.cfg.VBar) }
+
+	q := &probeQueue{emptyProbes: 4}
+	r := New([]RxQueue{q}, nop, Config{M: 1, VBar: 20 * time.Millisecond})
+	r.start = time.Now().Add(-time.Hour) // threadLoop's clock, normally set by Run
+
+	// A stretch one microsecond short of full: no linger, the probe is not
+	// even consulted.
+	short := full(r) + int64(time.Millisecond)
+	if next, ok := r.linger(0, short); ok || next != short || q.probes != 0 {
+		t.Fatalf("short stretch: linger = (%d, %v) after %d probes, want (%d, false) after 0", next, ok, q.probes, short)
+	}
+	// A full stretch: the holder watches the probe until packets show up
+	// (the fifth look) and a new stretch starts there.
+	was := full(r)
+	next, ok := r.linger(0, was)
+	if !ok || q.probes != 5 {
+		t.Fatalf("full stretch: linger ok = %v after %d probes, want true after 5", ok, q.probes)
+	}
+	if now := r.nanotime(); next <= was || next > now {
+		t.Fatalf("new stretch starts at %d, want in (%d, %d]", next, was, now)
+	}
+	// The stretch that just started has earned nothing yet.
+	if _, ok := r.linger(0, next); ok || q.probes != 5 {
+		t.Fatalf("fresh stretch lingered (ok = %v, %d probes)", ok, q.probes)
+	}
+
+	// Nothing arrives: give up after VBar, stretch untouched.
+	q = &probeQueue{emptyProbes: 1 << 62}
+	r = New([]RxQueue{q}, nop, Config{M: 1, VBar: 2 * time.Millisecond})
+	r.start = time.Now().Add(-time.Hour)
+	was = full(r)
+	t0 := time.Now()
+	if next, ok := r.linger(0, was); ok || next != was {
+		t.Fatalf("empty linger = (%d, %v), want (%d, false)", next, ok, was)
+	}
+	if waited := time.Since(t0); waited < r.cfg.VBar || q.probes == 0 {
+		t.Fatalf("gave up after %v and %d probes, want at least VBar = %v", waited, q.probes, r.cfg.VBar)
+	}
+
+	// A queue without a probe never lingers.
+	r = New([]RxQueue{opaqueQueue{q}}, nop, Config{M: 1, VBar: 2 * time.Millisecond})
+	r.start = time.Now().Add(-time.Hour)
+	was = full(r)
+	if next, ok := r.linger(0, was); ok || next != was {
+		t.Fatalf("probeless linger = (%d, %v), want (%d, false)", next, ok, was)
+	}
+}
+
+// hiccupQueue scripts a saturated queue whose producer stalls once: full
+// bursts for 12 vacation targets on end, one empty poll, then more bursts,
+// then empty for good. Len says whether the next poll will find packets, so
+// during the hiccup the first look already sees the producer back. Used by
+// one retrieval goroutine, so the fields need no lock.
+type hiccupQueue struct {
+	vbar         time.Duration
+	m            *mbuf.Mbuf
+	first        time.Time
+	hiccuped     bool
+	afterHiccup  int // bursts still to hand out after the hiccup
+	polls, empty int
+}
+
+func (q *hiccupQueue) PollBurst(out []*mbuf.Mbuf) int {
+	q.polls++
+	switch {
+	case q.first.IsZero():
+		q.first = time.Now()
+	case !q.hiccuped && time.Since(q.first) >= 12*q.vbar:
+		q.hiccuped = true
+		q.empty++
+		return 0
+	case q.hiccuped && q.afterHiccup == 0:
+		q.empty++
+		return 0
+	case q.hiccuped:
+		q.afterHiccup--
+	}
+	for i := range out {
+		out[i] = q.m
+	}
+	return len(out)
+}
+
+func (q *hiccupQueue) Len() int {
+	if !q.hiccuped || q.afterHiccup > 0 {
+		return 1
+	}
+	return 0
+}
+
+// TestLingerRidesOutProducerHiccup runs the drain loop over a saturated
+// queue whose producer stalls for a moment. With an occupancy probe the lock
+// holder lingers, sees the producer back and serves the rest in the same
+// cycle; the same script behind a queue without a probe ends the cycle at the
+// empty poll, as Listing 2 says, and the rest waits out a sleep.
+func TestLingerRidesOutProducerHiccup(t *testing.T) {
+	run := func(hide bool) (cyclesSeen map[uint64]int, q *hiccupQueue) {
+		q = &hiccupQueue{vbar: 100 * time.Microsecond, m: &mbuf.Mbuf{}, afterHiccup: 8}
+		var rq RxQueue = q
+		if hide {
+			rq = opaqueQueue{q}
+		}
+		cyclesSeen = map[uint64]int{}
+		var r *Runner
+		done := make(chan struct{})
+		var once sync.Once
+		r = New([]RxQueue{rq}, func(batch []*mbuf.Mbuf) {
+			cyclesSeen[r.Stats.Cycles.Load()]++
+			if q.hiccuped && q.afterHiccup == 0 {
+				once.Do(func() { close(done) })
+			}
+		}, Config{M: 1, VBar: q.vbar, Policy: "adaptive"})
+		ctx, cancel := context.WithCancel(context.Background())
+		finished := make(chan struct{})
+		go func() { defer close(finished); r.Run(ctx) }()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("script did not finish")
+		}
+		cancel()
+		<-finished
+		return cyclesSeen, q
+	}
+
+	seen, q := run(false)
+	if len(seen) != 1 {
+		t.Errorf("with a probe the bursts fell into %d cycles (%v), want 1: the hiccup must not end the cycle", len(seen), seen)
+	}
+	if q.empty < 2 {
+		t.Errorf("saw %d empty polls, want the hiccup's and the final one", q.empty)
+	}
+	seen, _ = run(true)
+	if len(seen) != 2 {
+		t.Errorf("without a probe the bursts fell into %d cycles (%v), want 2: Listing 2 releases on the empty poll", len(seen), seen)
+	}
+}

@@ -62,3 +62,21 @@ func BenchmarkTelemetryHistSample(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkTelemetryHistRecordBurst is the CI alloc gate for the drain
+// loop's latency publish path: one 32-packet burst whose packets waited
+// about equally long — two buckets, as a ring drained at line rate gives —
+// folds into two atomic adds, zero allocations (BENCH_telemetry.json).
+// Compare 32x BenchmarkTelemetryHistRecord.
+func BenchmarkTelemetryHistRecordBurst(b *testing.B) {
+	bus := NewBus(4, 16)
+	ns := make([]uint64, 32)
+	for i := range ns {
+		ns[i] = 300_000 + uint64(i)*200 // 8192 ns sub-buckets here: the burst straddles one edge
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bus.RecordLatencyBurst(i&3, ns)
+	}
+}

@@ -255,6 +255,28 @@ func (b *Bus) RecordLatency(q int, ns uint64) {
 	b.hist[q].counts[stats.LogBucketIndex(ns)].Add(1)
 }
 
+// RecordLatencyBurst counts one burst's per-packet latencies (nanoseconds)
+// into queue q's histogram: consecutive samples that share a bucket fold
+// into one atomic add, so a burst drained at one clock read — whose packets
+// waited about equally long — costs a handful of atomics instead of one
+// per packet. The bucket counts end up exactly what len(ns) RecordLatency
+// calls give.
+func (b *Bus) RecordLatencyBurst(q int, ns []uint64) {
+	if len(ns) == 0 {
+		return
+	}
+	counts := &b.hist[q].counts
+	bucket, run := stats.LogBucketIndex(ns[0]), uint64(1)
+	for _, v := range ns[1:] {
+		if i := stats.LogBucketIndex(v); i != bucket {
+			counts[bucket].Add(run)
+			bucket, run = i, 0
+		}
+		run++
+	}
+	counts[bucket].Add(run)
+}
+
 // SampleLatency folds queue q's histogram counters into the caller-owned
 // dst at zero allocations (dst is not reset first, so sampling every
 // queue into one histogram yields the deployment-wide latency

@@ -203,6 +203,40 @@ func TestLatencyHistogram(t *testing.T) {
 	}
 }
 
+// TestRecordLatencyBurstMatchesPerSample checks the burst fold on its edge
+// cases: an empty burst, one sample, one long run, and a sequence that
+// changes bucket at every step all leave the counters where the same
+// samples recorded one by one leave them.
+func TestRecordLatencyBurstMatchesPerSample(t *testing.T) {
+	run := make([]uint64, 32)
+	for i := range run {
+		run[i] = 300_000 + uint64(i) // one bucket: sub-buckets are ~3% wide
+	}
+	alternating := make([]uint64, 33)
+	for i := range alternating {
+		alternating[i] = 100 << uint(i%2*4)
+	}
+	bursts := [][]uint64{nil, {}, {0}, {77}, run, alternating, append(append([]uint64{5}, run...), 1<<40)}
+	burst, single := NewBus(1, 1), NewBus(1, 1)
+	for _, ns := range bursts {
+		burst.RecordLatencyBurst(0, ns)
+		for _, v := range ns {
+			single.RecordLatency(0, v)
+		}
+	}
+	var got, want stats.LogHistogram
+	burst.SampleLatency(0, &got)
+	single.SampleLatency(0, &want)
+	for i := 0; i < stats.LogHistBuckets; i++ {
+		if got.CountAt(i) != want.CountAt(i) {
+			t.Fatalf("bucket %d: burst=%d per-sample=%d", i, got.CountAt(i), want.CountAt(i))
+		}
+	}
+	if want.N() != 1+1+32+33+34 {
+		t.Fatalf("reference recorded %d samples", want.N())
+	}
+}
+
 // TestLatencyHistogramAllocationFree pins the fidelity plane's hot-path
 // contract: publishing a latency and folding a queue's block into a
 // warm caller-owned histogram both allocate nothing.
