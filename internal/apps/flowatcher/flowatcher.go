@@ -4,16 +4,20 @@
 // hash flow table with exact counters, a count-min sketch for heavy-hitter
 // estimation on constrained memory, and packet-size/interarrival summaries.
 //
-// The flow table is arena-backed (pointer-free index map over fixed-size
-// FlowStats blocks), so a monitor holds millions of concurrent flows
-// without per-flow allocations or GC scan pressure, and Sharded splits one
-// logical monitor into per-queue private shards — Toeplitz RSS already
-// partitions flows per queue, and Metronome's per-queue trylock serialises
-// each queue's service, so shard q needs no locks — with an exact read-time
-// merge for TopK and reports.
+// The flow table is arena-backed (a pointer-free open-addressed index over
+// fixed-size key and FlowStats blocks), so a monitor holds millions of
+// concurrent flows without per-flow allocations or GC scan pressure. Each
+// packet's 5-tuple is hashed once, under a per-monitor random seed, and that
+// one value places the flow in the table and picks its sketch counters.
+// Sharded splits one logical monitor into per-queue private shards —
+// Toeplitz RSS already partitions flows per queue, and Metronome's per-queue
+// trylock serialises each queue's service, so shard q needs no locks — with
+// an exact read-time merge for TopK and reports.
 package flowatcher
 
 import (
+	"math"
+
 	"metronome/internal/apps"
 	"metronome/internal/mbuf"
 	"metronome/internal/packet"
@@ -56,49 +60,62 @@ func (dst *FlowStats) merge(src *FlowStats) {
 
 // CountMin is a count-min sketch: conservative frequency estimation in
 // fixed memory, the tool FloWatcher offers when exact tables do not fit.
+// The depth row slots of a key all come from one 64-bit hash by double
+// hashing (Kirsch–Mitzenmacher: row i uses h1 + i*h2 over the hash's two
+// halves) and are reduced to [0, width) by multiply-shift, so a packet
+// costs one hash whatever the depth and no division. Counters saturate at
+// math.MaxUint32 instead of wrapping, so Estimate never undercounts a flow
+// with fewer than 2^32 packets and reads MaxUint32 beyond.
 type CountMin struct {
 	depth, width int
-	rows         [][]uint32
-	seeds        []uint64
+	rows         []uint32 // depth rows of width counters, row-major
+	seed         seed
 }
 
 // NewCountMin builds a sketch with the given depth (hash functions) and
-// width (counters per row).
+// width (counters per row), each clamped to at least 1. A sketch built here
+// hashes under its own seed; a Monitor's sketch is built on the monitor's.
 func NewCountMin(depth, width int) *CountMin {
-	cm := &CountMin{depth: depth, width: width}
-	for i := 0; i < depth; i++ {
-		cm.rows = append(cm.rows, make([]uint32, width))
-		cm.seeds = append(cm.seeds, 0x9e3779b97f4a7c15*uint64(i+1)|1)
-	}
-	return cm
+	return newCountMin(depth, width, newSeed())
 }
 
-func (cm *CountMin) hash(k packet.FlowKey, seed uint64) uint64 {
-	// FNV-1a style mix over the 5-tuple with a per-row seed.
-	h := seed ^ 14695981039346656037
-	mix := func(v uint64) {
-		h ^= v
-		h *= 1099511628211
+func newCountMin(depth, width int, s seed) *CountMin {
+	if depth < 1 {
+		depth = 1
 	}
-	mix(uint64(k.Src))
-	mix(uint64(k.Dst))
-	mix(uint64(k.SrcPort)<<16 | uint64(k.DstPort))
-	mix(uint64(k.Proto))
-	return h
+	if width < 1 {
+		width = 1
+	}
+	return &CountMin{depth: depth, width: width, rows: make([]uint32, depth*width), seed: s}
+}
+
+// counter returns row i's counter for a key hashed to h: the double-hashing
+// step is forced odd so the rows' words differ.
+func (cm *CountMin) counter(i int, h uint64) *uint32 {
+	g := uint32(h) + uint32(i)*(uint32(h>>32)|1)
+	return &cm.rows[i*cm.width+int(uint64(g)*uint64(cm.width)>>32)]
 }
 
 // Add counts one occurrence of k.
-func (cm *CountMin) Add(k packet.FlowKey) {
+func (cm *CountMin) Add(k packet.FlowKey) { cm.add(cm.seed.hash(k)) }
+
+// add is Add for a caller that already holds h = cm.seed.hash(k).
+func (cm *CountMin) add(h uint64) {
 	for i := 0; i < cm.depth; i++ {
-		cm.rows[i][cm.hash(k, cm.seeds[i])%uint64(cm.width)]++
+		if c := cm.counter(i, h); *c != math.MaxUint32 {
+			*c++
+		}
 	}
 }
 
 // Estimate returns the (never under-) estimated count of k.
-func (cm *CountMin) Estimate(k packet.FlowKey) uint32 {
-	est := ^uint32(0)
+func (cm *CountMin) Estimate(k packet.FlowKey) uint32 { return cm.estimate(cm.seed.hash(k)) }
+
+// estimate is Estimate for a caller that already holds h = cm.seed.hash(k).
+func (cm *CountMin) estimate(h uint64) uint32 {
+	est := uint32(math.MaxUint32)
 	for i := 0; i < cm.depth; i++ {
-		if v := cm.rows[i][cm.hash(k, cm.seeds[i])%uint64(cm.width)]; v < est {
+		if v := *cm.counter(i, h); v < est {
 			est = v
 		}
 	}
@@ -108,7 +125,11 @@ func (cm *CountMin) Estimate(k packet.FlowKey) uint32 {
 // Monitor is the FloWatcher application. It is single-writer: one queue's
 // serialised service feeds it (see Sharded for the multi-queue shape).
 type Monitor struct {
-	table  FlowTable
+	table FlowTable
+	// Sketch counts under the monitor's own hash seed — that is what lets
+	// account feed it the flow table's hash. It is exported to be read
+	// (Estimate); a sketch from NewCountMin hashes under a different seed
+	// and must not be assigned here.
 	Sketch *CountMin
 
 	// Packet-level statistics.
@@ -128,10 +149,13 @@ type Monitor struct {
 
 // New builds a monitor with an exact flow table and a 4x16384 sketch
 // (FloWatcher's double-hash default scale).
-func New() *Monitor {
+func New() *Monitor { return newMonitor(newSeed()) }
+
+// newMonitor builds a monitor whose table and sketch hash under s.
+func newMonitor(s seed) *Monitor {
 	return &Monitor{
-		table:  newFlowTable(),
-		Sketch: NewCountMin(4, 16384),
+		table:  newFlowTable(s),
+		Sketch: newCountMin(4, 16384, s),
 	}
 }
 
@@ -149,12 +173,14 @@ func (m *Monitor) now() float64 {
 }
 
 // account folds one accepted packet into every statistic — the shared body
-// of Process and ProcessBurst, so the two paths agree by construction.
+// of Process and ProcessBurst, so the two paths agree by construction. The
+// key is hashed once; the flow table and the sketch both work from that.
 func (m *Monitor) account(key packet.FlowKey, size int) {
 	t := m.now()
 	m.Packets++
 
-	fs, isNew := m.table.get(key)
+	h := m.table.seed.hash(key)
+	fs, isNew := m.table.get(key, h)
 	if isNew {
 		fs.FirstSeen = t
 		fs.MinSize, fs.MaxSize = size, size
@@ -168,7 +194,7 @@ func (m *Monitor) account(key packet.FlowKey, size int) {
 	if size > fs.MaxSize {
 		fs.MaxSize = size
 	}
-	m.Sketch.Add(key)
+	m.Sketch.add(h)
 
 	m.Sizes.Add(float64(size))
 	if m.haveArrival {
@@ -215,7 +241,7 @@ func (m *Monitor) FlowCount() int { return m.table.Len() }
 // live) for the monitor's lifetime.
 func (m *Monitor) Flow(k packet.FlowKey) (*FlowStats, bool) { return m.table.Flow(k) }
 
-// Range calls fn for every flow until it returns false, in map order.
+// Range calls fn for every flow until it returns false, in first-seen order.
 func (m *Monitor) Range(fn func(k packet.FlowKey, fs *FlowStats) bool) { m.table.Range(fn) }
 
 // TopK returns the k busiest flows by exact packet count, descending, ties

@@ -1,6 +1,7 @@
 package flowatcher
 
 import (
+	"math"
 	"testing"
 
 	"metronome/internal/apps"
@@ -100,6 +101,95 @@ func TestSketchAccuracyAtScale(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// The never-undercount contract at the flow count bursty_2q runs, where
+// rows are shared (4096 flows over 16384 counters per row), for one monitor
+// and for the summed estimate of a sharded one.
+func TestSketchNeverUndercountsAt4096Flows(t *testing.T) {
+	single, sharded := New(), NewSharded(2)
+	gen := traffic.NewFrameGen(7, 4096, 64)
+	pool := mbuf.NewPool(2)
+	buf, _ := pool.Get()
+	defer buf.Free()
+	for i := 0; i < 100000; i++ {
+		frame, _ := gen.Next()
+		buf.SetFrame(frame)
+		single.Process(buf)
+		sharded.Shard(i & 1).Process(buf)
+	}
+	if single.FlowCount() != 4096 || sharded.FlowCount() != 4096 {
+		t.Fatalf("flows = %d / %d, want 4096", single.FlowCount(), sharded.FlowCount())
+	}
+	single.Range(func(k packet.FlowKey, fs *FlowStats) bool {
+		if est := single.Sketch.Estimate(k); int64(est) < fs.Packets {
+			t.Fatalf("sketch undercounts %v: %d < %d", k, est, fs.Packets)
+		}
+		if est := sharded.Estimate(k); int64(est) < fs.Packets {
+			t.Fatalf("summed sketch undercounts %v: %d < %d", k, est, fs.Packets)
+		}
+		return true
+	})
+}
+
+// Counters stop at MaxUint32: a flow past 2^32 packets reads "at least
+// 2^32 - 1" for ever instead of wrapping to a small number, and so does the
+// cross-shard sum.
+func TestSketchCountersSaturate(t *testing.T) {
+	k := packet.FlowKey{Src: 1, Dst: 2, SrcPort: 3, DstPort: 4, Proto: packet.ProtoUDP}
+	cm := NewCountMin(4, 64)
+	h := cm.seed.hash(k)
+	for i := 0; i < cm.depth; i++ {
+		*cm.counter(i, h) = math.MaxUint32 - 1
+	}
+	for add := 1; add <= 3; add++ {
+		cm.Add(k)
+		if est := cm.Estimate(k); est != math.MaxUint32 {
+			t.Fatalf("after %d adds from MaxUint32-1: estimate %d, want MaxUint32", add, est)
+		}
+	}
+
+	s := NewSharded(2)
+	h = s.seed.hash(k)
+	for q := 0; q < 2; q++ {
+		sk := s.Shard(q).Sketch
+		for i := 0; i < sk.depth; i++ {
+			*sk.counter(i, h) = math.MaxUint32/2 + 10
+		}
+	}
+	if est := s.Estimate(k); est != math.MaxUint32 {
+		t.Fatalf("summed estimate wrapped to %d, want MaxUint32", est)
+	}
+}
+
+// A sketch asked for no rows or no columns gets one of each: the first
+// packet must not divide by zero or index an empty row, and Estimate must
+// not answer MaxUint32 for a key it has never seen.
+func TestNewCountMinClampsGeometry(t *testing.T) {
+	k := packet.FlowKey{Src: 9, Dst: 8, SrcPort: 7, DstPort: 6, Proto: packet.ProtoTCP}
+	for _, c := range []struct{ depth, width, wantDepth, wantWidth int }{
+		{4, 16384, 4, 16384},
+		{1, 1, 1, 1},
+		{0, 0, 1, 1},
+		{0, 8, 1, 8},
+		{3, 0, 3, 1},
+		{-2, -5, 1, 1},
+	} {
+		cm := NewCountMin(c.depth, c.width)
+		if cm.depth != c.wantDepth || cm.width != c.wantWidth {
+			t.Errorf("NewCountMin(%d, %d) = %dx%d, want %dx%d",
+				c.depth, c.width, cm.depth, cm.width, c.wantDepth, c.wantWidth)
+		}
+		if est := cm.Estimate(k); est != 0 {
+			t.Errorf("NewCountMin(%d, %d): empty sketch estimates %d", c.depth, c.width, est)
+		}
+		for i := 0; i < 5; i++ {
+			cm.Add(k)
+		}
+		if est := cm.Estimate(k); est != 5 {
+			t.Errorf("NewCountMin(%d, %d): estimate %d after 5 adds", c.depth, c.width, est)
+		}
+	}
 }
 
 func TestTopKOrdering(t *testing.T) {
@@ -218,19 +308,30 @@ func TestServiceRateCalibration(t *testing.T) {
 	}
 }
 
-// The arena must hand back stable, distinct slots across block boundaries.
+// The arena must hand back stable, distinct slots across block boundaries
+// and across index growth: only the index is ever rebuilt.
 func TestFlowTableArenaStability(t *testing.T) {
-	tab := newFlowTable()
+	tab := newFlowTable(newSeed())
 	const flows = 3*blockLen + 17
 	ptrs := make([]*FlowStats, flows)
+	grown, size := 0, len(tab.idx)
 	for i := 0; i < flows; i++ {
 		k := packet.FlowKey{Src: packet.Addr(i), Proto: packet.ProtoUDP}
-		fs, isNew := tab.get(k)
+		fs, isNew := tab.get(k, tab.seed.hash(k))
 		if !isNew {
 			t.Fatalf("flow %d reported as existing", i)
 		}
 		fs.Packets = int64(i)
 		ptrs[i] = fs
+		if len(tab.idx) != size {
+			grown, size = grown+1, len(tab.idx)
+		}
+		if 2*tab.Len() > len(tab.idx) {
+			t.Fatalf("index over half full: %d flows in %d slots", tab.Len(), len(tab.idx))
+		}
+	}
+	if grown < 3 {
+		t.Fatalf("index doubled %d times, want >= 3", grown)
 	}
 	if tab.Len() != flows {
 		t.Fatalf("len = %d, want %d", tab.Len(), flows)

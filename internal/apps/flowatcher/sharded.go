@@ -1,6 +1,8 @@
 package flowatcher
 
 import (
+	"math"
+
 	"metronome/internal/apps"
 	"metronome/internal/packet"
 )
@@ -20,6 +22,7 @@ import (
 // pulled.
 type Sharded struct {
 	shards []*Monitor
+	seed   seed   // shared by every shard: the merge hashes a key once
 	top    topSel // reusable merged-TopK selection buffer
 }
 
@@ -28,9 +31,9 @@ func NewSharded(n int) *Sharded {
 	if n < 1 {
 		n = 1
 	}
-	s := &Sharded{shards: make([]*Monitor, n)}
+	s := &Sharded{shards: make([]*Monitor, n), seed: newSeed()}
 	for i := range s.shards {
-		s.shards[i] = New()
+		s.shards[i] = newMonitor(s.seed)
 	}
 	return s
 }
@@ -66,7 +69,7 @@ func (s *Sharded) FlowCount() int {
 	n := 0
 	for i, m := range s.shards {
 		m.table.Range(func(k packet.FlowKey, _ *FlowStats) bool {
-			if !s.seenBefore(i, k) {
+			if !s.seenBefore(i, k, s.seed.hash(k)) {
 				n++
 			}
 			return true
@@ -75,11 +78,12 @@ func (s *Sharded) FlowCount() int {
 	return n
 }
 
-// seenBefore reports whether k exists in a shard with index < i — the
-// dedup rule of the read-time merge (the lowest-index shard owns the key).
-func (s *Sharded) seenBefore(i int, k packet.FlowKey) bool {
+// seenBefore reports whether k (h = s.seed.hash(k)) exists in a shard with
+// index < i — the dedup rule of the read-time merge (the lowest-index shard
+// owns the key).
+func (s *Sharded) seenBefore(i int, k packet.FlowKey, h uint64) bool {
 	for j := 0; j < i; j++ {
-		if _, ok := s.shards[j].table.Flow(k); ok {
+		if _, ok := s.shards[j].table.lookup(k, h); ok {
 			return true
 		}
 	}
@@ -91,8 +95,9 @@ func (s *Sharded) seenBefore(i int, k packet.FlowKey) bool {
 func (s *Sharded) Flow(k packet.FlowKey) (FlowStats, bool) {
 	var out FlowStats
 	found := false
+	h := s.seed.hash(k)
 	for _, m := range s.shards {
-		fs, ok := m.table.Flow(k)
+		fs, ok := m.table.lookup(k, h)
 		if !ok {
 			continue
 		}
@@ -106,13 +111,18 @@ func (s *Sharded) Flow(k packet.FlowKey) (FlowStats, bool) {
 }
 
 // Estimate sums the per-shard sketch estimates: each shard's estimate never
-// undercounts its own packets, so the sum never undercounts the flow.
+// undercounts its own packets, so the sum never undercounts the flow. Like
+// the counters it sums, it saturates at math.MaxUint32 instead of wrapping.
 func (s *Sharded) Estimate(k packet.FlowKey) uint32 {
-	var est uint32
+	h := s.seed.hash(k)
+	var est uint64
 	for _, m := range s.shards {
-		est += m.Sketch.Estimate(k)
+		est += uint64(m.Sketch.estimate(h))
 	}
-	return est
+	if est > math.MaxUint32 {
+		return math.MaxUint32
+	}
+	return uint32(est)
 }
 
 // TopK returns the k busiest flows by merged exact packet count,
@@ -123,12 +133,13 @@ func (s *Sharded) TopK(k int) []packet.FlowKey {
 	for i, m := range s.shards {
 		i := i
 		m.table.Range(func(key packet.FlowKey, fs *FlowStats) bool {
-			if s.seenBefore(i, key) {
+			h := s.seed.hash(key)
+			if s.seenBefore(i, key, h) {
 				return true // a lower shard already offered the merged count
 			}
 			pk := fs.Packets
 			for j := i + 1; j < len(s.shards); j++ {
-				if other, ok := s.shards[j].table.Flow(key); ok {
+				if other, ok := s.shards[j].table.lookup(key, h); ok {
 					pk += other.Packets
 				}
 			}

@@ -24,7 +24,7 @@ func buildTCP(size int, src, dst Addr, sport, dport uint16) []byte {
 
 // checkLiteMatchesParse asserts the acceptance contract: ParseLite rejects a
 // frame iff Parse does, and on acceptance agrees on Key, TTL and TotalLen.
-func checkLiteMatchesParse(t *testing.T, frame []byte) {
+func checkLiteMatchesParse(t testing.TB, frame []byte) {
 	t.Helper()
 	var p Parsed
 	var l Lite
@@ -47,7 +47,13 @@ func checkLiteMatchesParse(t *testing.T, frame []byte) {
 	}
 }
 
-func TestParseLiteMatchesParseStructured(t *testing.T) {
+// structuredFrames is one row per branch of the two parsers: legal UDP and
+// TCP, every truncation point, every illegal header field, the TTL edges —
+// the row kinds internal/apps' equivalence stream draws at random (legal,
+// runt, wrong ethertype, version nibble, TTL edge) plus the ones it cannot
+// reach. The structured test walks them; the fuzz target starts from them.
+func structuredFrames(t testing.TB) [][]byte {
+	t.Helper()
 	buf := make([]byte, 256)
 	udp, err := BuildUDP(buf, 80, AddrFrom4(10, 0, 0, 1), AddrFrom4(10, 0, 1, 1), 1000, 53)
 	if err != nil {
@@ -108,14 +114,29 @@ func TestParseLiteMatchesParseStructured(t *testing.T) {
 		f[EthHeaderLen+8] = ttl
 		frames = append(frames, f)
 	}
-	for i, frame := range frames {
-		i := i
+	return frames
+}
+
+func TestParseLiteMatchesParseStructured(t *testing.T) {
+	for _, frame := range structuredFrames(t) {
 		frame := frame
 		t.Run("", func(t *testing.T) {
-			_ = i
 			checkLiteMatchesParse(t, frame)
 		})
 	}
+}
+
+// FuzzParseLiteAgreesWithParse is the coverage-guided form of the contract
+// the burst paths rest on: ParseLite errs iff Parse errs, and on accept the
+// two agree on Key, TTL and TotalLen. Without -fuzz the seed rows run as
+// ordinary subtests; CI fuzzes for ten seconds on top.
+func FuzzParseLiteAgreesWithParse(f *testing.F) {
+	for _, frame := range structuredFrames(f) {
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		checkLiteMatchesParse(t, frame)
+	})
 }
 
 // Randomised sweep: valid frames with random point mutations, plus pure
