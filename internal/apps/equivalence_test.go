@@ -72,8 +72,14 @@ func runPerPacket(t *testing.T, p apps.Processor, frames [][]byte) ([]apps.Verdi
 // final partial burst included) and returns the same observables.
 func runBurst(t *testing.T, p apps.BurstProcessor, frames [][]byte) ([]apps.Verdict, [][]byte, []packet.FlowKey, []uint64) {
 	t.Helper()
-	pool := mbuf.NewPool(burstLen + 1)
-	bufs := make([]*mbuf.Mbuf, burstLen)
+	return runBurstOf(t, p, frames, burstLen)
+}
+
+// runBurstOf is runBurst with the burst length chosen by the caller.
+func runBurstOf(t *testing.T, p apps.BurstProcessor, frames [][]byte, size int) ([]apps.Verdict, [][]byte, []packet.FlowKey, []uint64) {
+	t.Helper()
+	pool := mbuf.NewPool(size + 1)
+	bufs := make([]*mbuf.Mbuf, size)
 	for i := range bufs {
 		m, err := pool.Get()
 		if err != nil {
@@ -85,9 +91,9 @@ func runBurst(t *testing.T, p apps.BurstProcessor, frames [][]byte) ([]apps.Verd
 	out := make([][]byte, len(frames))
 	keys := make([]packet.FlowKey, len(frames))
 	metas := make([]uint64, len(frames))
-	vbuf := make([]apps.Verdict, burstLen)
-	for at := 0; at < len(frames); at += burstLen {
-		n := burstLen
+	vbuf := make([]apps.Verdict, size)
+	for at := 0; at < len(frames); at += size {
+		n := size
 		if at+n > len(frames) {
 			n = len(frames) - at
 		}
@@ -191,37 +197,59 @@ func TestIpsecgwBurstEquivalence(t *testing.T) {
 	}
 }
 
+// TestFlowatcherBurstEquivalence pins the staged burst path against the
+// per-packet one. The burst lengths straddle ProcessBurst's 64-packet chunk
+// (one packet, a chunk less one, exactly one, one more, several), and 4 in 10
+// frames of the stream are malformed, so chunk seams and the second pass's
+// deferred Malformed count are both on the compared path: the clock below
+// reads Malformed, so counting a malformed frame any earlier or later than
+// its place in arrival order would shift FirstSeen/LastSeen and Interarrival.
 func TestFlowatcherBurstEquivalence(t *testing.T) {
 	frames := stream(300, 4000)
-	ref := flowatcher.New()
-	nat := flowatcher.New()
+	clocked := func() *flowatcher.Monitor {
+		m := flowatcher.New()
+		m.Clock = func() float64 { return float64(m.Packets + 1000*m.Malformed) }
+		return m
+	}
+	ref := clocked()
 	vA, fA, kA, mA := runPerPacket(t, ref, frames)
-	vB, fB, kB, mB := runBurst(t, nat, frames)
-	compare(t, frames, vA, fA, kA, mA, vB, fB, kB, mB)
-	if ref.Packets != nat.Packets || ref.Malformed != nat.Malformed {
-		t.Fatalf("counters diverge: pkts %d/%d malformed %d/%d",
-			ref.Packets, nat.Packets, ref.Malformed, nat.Malformed)
-	}
-	if ref.FlowCount() != nat.FlowCount() {
-		t.Fatalf("flow counts diverge: %d vs %d", ref.FlowCount(), nat.FlowCount())
-	}
-	if ref.Sizes.Mean() != nat.Sizes.Mean() || ref.Interarrival.Mean() != nat.Interarrival.Mean() {
-		t.Fatal("packet-level statistics diverge")
-	}
-	mismatched := 0
-	ref.Range(func(k packet.FlowKey, fs *flowatcher.FlowStats) bool {
-		other, ok := nat.Flow(k)
-		if !ok || *other != *fs {
-			mismatched++
-			return false
-		}
-		return true
-	})
-	if mismatched != 0 {
-		t.Fatal("per-flow stats diverge between the paths")
-	}
 	if ref.Packets == 0 || ref.Malformed == 0 {
 		t.Fatalf("stream did not exercise both paths: %d/%d", ref.Packets, ref.Malformed)
+	}
+	for _, n := range []int{burstLen, 1, 63, 64, 65, 200} {
+		nat := clocked()
+		vB, fB, kB, mB := runBurstOf(t, nat, frames, n)
+		compare(t, frames, vA, fA, kA, mA, vB, fB, kB, mB)
+		if ref.Packets != nat.Packets || ref.Malformed != nat.Malformed {
+			t.Fatalf("bursts of %d: counters diverge: pkts %d/%d malformed %d/%d",
+				n, ref.Packets, nat.Packets, ref.Malformed, nat.Malformed)
+		}
+		if ref.FlowCount() != nat.FlowCount() {
+			t.Fatalf("bursts of %d: flow counts diverge: %d vs %d", n, ref.FlowCount(), nat.FlowCount())
+		}
+		if ref.Sizes != nat.Sizes || ref.Interarrival != nat.Interarrival {
+			t.Fatalf("bursts of %d: packet-level statistics diverge", n)
+		}
+		mismatched := 0
+		ref.Range(func(k packet.FlowKey, fs *flowatcher.FlowStats) bool {
+			other, ok := nat.Flow(k)
+			// Both sketches count exactly what their table does or more,
+			// each under its own seed.
+			if !ok || *other != *fs || int64(nat.Sketch.Estimate(k)) < fs.Packets {
+				mismatched++
+				return false
+			}
+			return true
+		})
+		if mismatched != 0 {
+			t.Fatalf("bursts of %d: per-flow stats diverge between the paths", n)
+		}
+		a, b := ref.TopK(10), nat.TopK(10)
+		for i := range a {
+			if a[i] != b[i] {
+				t.Fatalf("bursts of %d: TopK diverges at rank %d: %v vs %v", n, i, a[i], b[i])
+			}
+		}
 	}
 }
 

@@ -17,6 +17,7 @@ package flowatcher
 
 import (
 	"math"
+	"unsafe"
 
 	"metronome/internal/apps"
 	"metronome/internal/mbuf"
@@ -145,6 +146,25 @@ type Monitor struct {
 	Clock func() float64
 
 	top topSel // reusable TopK selection buffer
+
+	stage stage // ProcessBurst's first-pass results, reused for every chunk
+}
+
+// stageChunk bounds how many packets ProcessBurst stages ahead of their
+// accounting: enough that the first packet's lines have arrived when the
+// second pass reaches it, few enough that the chunk's hinted lines (one index
+// slot and the sketch's depth counters per packet) still fit L1 beside the
+// frames.
+const stageChunk = 64
+
+// stage is what the first pass of a chunk leaves for the second: each
+// parseable packet's key and hash, and the addresses the accounting will
+// touch, collected so one call hints them all. It lives in the Monitor (not
+// on the stack, which would be cleared per call) and holds no pointers.
+type stage struct {
+	keys   [stageChunk]packet.FlowKey
+	hashes [stageChunk]uint64
+	hints  []uintptr // sized for stageChunk * (1 + sketch depth) addresses
 }
 
 // New builds a monitor with an exact flow table and a 4x16384 sketch
@@ -153,10 +173,12 @@ func New() *Monitor { return newMonitor(newSeed()) }
 
 // newMonitor builds a monitor whose table and sketch hash under s.
 func newMonitor(s seed) *Monitor {
-	return &Monitor{
+	m := &Monitor{
 		table:  newFlowTable(s),
 		Sketch: newCountMin(4, 16384, s),
 	}
+	m.stage.hints = make([]uintptr, 0, stageChunk*(1+m.Sketch.depth))
+	return m
 }
 
 // Name implements apps.Processor.
@@ -174,12 +196,12 @@ func (m *Monitor) now() float64 {
 
 // account folds one accepted packet into every statistic — the shared body
 // of Process and ProcessBurst, so the two paths agree by construction. The
-// key is hashed once; the flow table and the sketch both work from that.
-func (m *Monitor) account(key packet.FlowKey, size int) {
+// key is hashed once (h must be m.table.seed.hash(key)); the flow table and
+// the sketch both work from that.
+func (m *Monitor) account(key packet.FlowKey, h uint64, size int) {
 	t := m.now()
 	m.Packets++
 
-	h := m.table.seed.hash(key)
 	fs, isNew := m.table.get(key, h)
 	if isNew {
 		fs.FirstSeen = t
@@ -211,7 +233,7 @@ func (m *Monitor) Process(buf *mbuf.Mbuf) apps.Verdict {
 		m.Malformed++
 		return apps.Drop
 	}
-	m.account(p.Key, buf.Len)
+	m.account(p.Key, m.table.seed.hash(p.Key), buf.Len)
 	return apps.Consume
 }
 
@@ -221,16 +243,51 @@ func (m *Monitor) Process(buf *mbuf.Mbuf) apps.Verdict {
 // the per-packet path runs, so verdicts and counters are byte-identical on
 // any input stream (test-enforced). Steady state (no new flows) allocates
 // nothing; a new flow costs only its amortised arena slot.
+//
+// The burst is worked in chunks of at most stageChunk packets, two passes
+// each. The first parses and hashes every packet and hints the CPU at the
+// lines the accounting will need — the flow's home index slot and its sketch
+// counters, which on a table of any size are cache misses. The second runs
+// account in arrival order on the saved keys and hashes, by which time the
+// chunk's misses have overlapped instead of being taken one packet at a time.
+// Everything observable — counters, Malformed included, and the clock reads —
+// happens in the second pass, packet by packet, as on the per-packet path.
 func (m *Monitor) ProcessBurst(ms []*mbuf.Mbuf, verdicts []apps.Verdict) {
+	for len(ms) > 0 {
+		n := min(len(ms), stageChunk)
+		m.processChunk(ms[:n], verdicts[:n])
+		ms, verdicts = ms[n:], verdicts[n:]
+	}
+}
+
+// processChunk is ProcessBurst for at most stageChunk packets.
+func (m *Monitor) processChunk(ms []*mbuf.Mbuf, verdicts []apps.Verdict) {
+	st := &m.stage
+	hints := st.hints[:0]
+	mask := uint64(len(m.table.idx) - 1)
+	depth := m.Sketch.depth
 	for i, buf := range ms {
 		var l packet.Lite
 		if err := packet.ParseLite(buf.Bytes(), &l); err != nil {
-			m.Malformed++
 			verdicts[i] = apps.Drop
 			continue
 		}
-		m.account(l.Key, buf.Len)
 		verdicts[i] = apps.Consume
+		h := m.table.seed.hash(l.Key)
+		st.keys[i], st.hashes[i] = l.Key, h
+		hints = append(hints, uintptr(unsafe.Pointer(&m.table.idx[h&mask])))
+		for r := 0; r < depth; r++ {
+			hints = append(hints, uintptr(unsafe.Pointer(m.Sketch.counter(r, h))))
+		}
+	}
+	mbuf.PrefetchLines(hints)
+	st.hints = hints[:0] // keeps the growth if a sketch deeper than New's was assigned
+	for i, buf := range ms {
+		if verdicts[i] == apps.Drop {
+			m.Malformed++
+			continue
+		}
+		m.account(st.keys[i], st.hashes[i], buf.Len)
 	}
 }
 

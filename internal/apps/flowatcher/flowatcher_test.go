@@ -301,6 +301,51 @@ func TestMalformedCounted(t *testing.T) {
 	}
 }
 
+// TestStagedBurstSameSeedBitIdentical feeds one stream to two monitors that
+// share a hash seed — one packet at a time, and in bursts longer than a
+// stage chunk while the index grows under the hints — and compares what the
+// cross-seed equivalence test in internal/apps cannot: the sketch rows and
+// the index, word for word.
+func TestStagedBurstSameSeedBitIdentical(t *testing.T) {
+	s := newSeed()
+	ref, nat := newMonitor(s), newMonitor(s)
+	gen := traffic.NewFrameGen(7, 3000, 64) // grows the index past minIndex twice
+	const burst = 200
+	pool := mbuf.NewPool(burst + 1)
+	bufs := make([]*mbuf.Mbuf, burst)
+	for i := range bufs {
+		bufs[i], _ = pool.Get()
+	}
+	verdicts := make([]apps.Verdict, burst)
+	for round := 0; round < 40; round++ {
+		for i, b := range bufs {
+			f, _ := gen.Next()
+			if i%7 == 3 {
+				f = f[:i%14] // a runt: malformed on both paths
+			}
+			b.SetFrame(f)
+			ref.Process(b)
+		}
+		nat.ProcessBurst(bufs, verdicts)
+	}
+	if ref.Packets != nat.Packets || ref.Malformed != nat.Malformed || ref.Malformed == 0 {
+		t.Fatalf("counters: pkts %d/%d malformed %d/%d", ref.Packets, nat.Packets, ref.Malformed, nat.Malformed)
+	}
+	if len(ref.table.idx) <= minIndex || len(ref.table.idx) != len(nat.table.idx) {
+		t.Fatalf("index sizes %d/%d (fresh %d)", len(ref.table.idx), len(nat.table.idx), minIndex)
+	}
+	for i, e := range ref.table.idx {
+		if nat.table.idx[i] != e {
+			t.Fatalf("index slot %d: %v vs %v", i, e, nat.table.idx[i])
+		}
+	}
+	for i, c := range ref.Sketch.rows {
+		if nat.Sketch.rows[i] != c {
+			t.Fatalf("sketch counter %d: %d vs %d", i, c, nat.Sketch.rows[i])
+		}
+	}
+}
+
 func TestServiceRateCalibration(t *testing.T) {
 	mu := apps.ServiceRate(New(), 2.1)
 	if mu < 27e6 || mu > 29e6 {

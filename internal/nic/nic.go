@@ -315,6 +315,9 @@ func (q *Queue) ServeSlice(maxDur float64) (done bool, end float64) {
 		}
 		q.occ += net
 		if q.occ < 0 {
+			// Fewer packets were there than mu*dt could have served (a
+			// slice near critical load): credit only what was present.
+			servedWant += q.occ
 			q.occ = 0
 		}
 	}

@@ -251,45 +251,58 @@ func TestFillInjectsBurst(t *testing.T) {
 	}
 }
 
+// conserves runs 50 cycles of a seed-drawn queue (rate, capacity, service
+// rate, vacations) and reports whether offered = received + dropped and
+// served <= received held: the queue never invents or loses fluid.
+func conserves(seed uint64) bool {
+	r := xrand.New(seed)
+	pps := r.Uniform(1e6, 20e6)
+	opt := DefaultOptions()
+	opt.Cap = int64(64 << r.Intn(5)) // 64..1024
+	q := NewQueue(0, traffic.CBR{PPS: pps}, r.Split(), opt)
+	mu := r.Uniform(8e6, 30e6)
+	tNow := 0.0
+	for cycle := 0; cycle < 50; cycle++ {
+		tNow += r.Uniform(5e-6, 200e-6) // vacation
+		q.BeginService(tNow, mu)
+		for {
+			done, end := q.ServeSlice(100e-6)
+			tNow = end
+			if done {
+				break
+			}
+			if tNow > 1 { // overloaded forever; stop the cycle loop
+				break
+			}
+		}
+		if q.Occupancy(tNow) == 0 {
+			q.EndService(tNow)
+		} else {
+			return true // left mid-overload; conservation checked below anyway
+		}
+	}
+	offered := traffic.CBR{PPS: pps}.CountIn(0, tNow, nil)
+	got := q.RxPackets + q.Drops
+	// integer accumulators round per-slice: allow one packet per cycle
+	diff := got - offered
+	if diff < 0 {
+		diff = -diff
+	}
+	return diff <= 60 && q.Served <= q.RxPackets+1
+}
+
 func TestConservationProperty(t *testing.T) {
-	// Over any sequence of cycles, offered = received + dropped, and
-	// served <= received: the queue never invents or loses fluid.
-	if err := quick.Check(func(seed uint64) bool {
-		r := xrand.New(seed)
-		pps := r.Uniform(1e6, 20e6)
-		opt := DefaultOptions()
-		opt.Cap = int64(64 << r.Intn(5)) // 64..1024
-		q := NewQueue(0, traffic.CBR{PPS: pps}, r.Split(), opt)
-		mu := r.Uniform(8e6, 30e6)
-		tNow := 0.0
-		for cycle := 0; cycle < 50; cycle++ {
-			tNow += r.Uniform(5e-6, 200e-6) // vacation
-			q.BeginService(tNow, mu)
-			for {
-				done, end := q.ServeSlice(100e-6)
-				tNow = end
-				if done {
-					break
-				}
-				if tNow > 1 { // overloaded forever; stop the cycle loop
-					break
-				}
-			}
-			if q.Occupancy(tNow) == 0 {
-				q.EndService(tNow)
-			} else {
-				return true // left mid-overload; conservation checked below anyway
-			}
+	// Near critical load (mu barely above lambda) a slice that ends undone
+	// can find fewer packets than mu*dt: these inputs once had the queue
+	// credit the full mu*dt to Served, more than it ever received.
+	for _, seed := range []uint64{
+		0x210ef336ffc1f5b6, 0x409e98779ff67055, 0xd161f3a3e433ad45, 0xadfb7522fb120a31,
+	} {
+		if !conserves(seed) {
+			t.Errorf("conservation broken on pinned input %#x", seed)
 		}
-		offered := traffic.CBR{PPS: pps}.CountIn(0, tNow, nil)
-		got := q.RxPackets + q.Drops
-		// integer accumulators round per-slice: allow one packet per cycle
-		diff := got - offered
-		if diff < 0 {
-			diff = -diff
-		}
-		return diff <= 60 && q.Served <= q.RxPackets+1
-	}, &quick.Config{MaxCount: 25}); err != nil {
+	}
+	if err := quick.Check(conserves, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }

@@ -79,6 +79,19 @@ func take[T any](buf []T, at uint64, out []T) {
 	clear(buf[:w])
 }
 
+// count is both rings' Len: published minus released, clamped to capacity.
+// The consumer-side cursor is read first: a caller overtaken between the two
+// loads — any goroutine may probe, holding no role — can then only read past
+// capacity, which the clamp catches, never below zero.
+func count(released, published *atomic.Uint64, capacity int) int {
+	rel := released.Load()
+	d := published.Load() - rel
+	if d > uint64(capacity) {
+		return capacity
+	}
+	return int(d)
+}
+
 // MPMC is a bounded multi-producer/multi-consumer ring with rte_ring's
 // head/tail protocol. All methods are safe for concurrent use.
 //
@@ -120,16 +133,7 @@ func (r *MPMC[T]) Cap() int { return len(r.buf) }
 // consumer (rte_ring_count) — an instantaneous, racy figure for occupancy
 // metrics, always within [0, Cap]. Spans still being written are not
 // counted.
-func (r *MPMC[T]) Len() int {
-	// Consumer side first: read in this order the difference cannot go
-	// negative, only (when both sides advance between the loads) past Cap.
-	released := r.cons.tail.Load()
-	d := r.prod.tail.Load() - released
-	if d > uint64(len(r.buf)) {
-		return len(r.buf)
-	}
-	return int(d)
-}
+func (r *MPMC[T]) Len() int { return count(&r.cons.tail, &r.prod.tail, len(r.buf)) }
 
 // Enqueue adds v; it reports false when the ring is full.
 func (r *MPMC[T]) Enqueue(v T) bool {
@@ -210,8 +214,10 @@ func NewSPSC[T any](capacity int) (*SPSC[T], error) {
 // Cap returns the ring capacity.
 func (r *SPSC[T]) Cap() int { return len(r.buf) }
 
-// Len returns the instantaneous element count.
-func (r *SPSC[T]) Len() int { return int(r.head.Load() - r.tail.Load()) }
+// Len returns the instantaneous element count — a racy figure for occupancy
+// metrics, always within [0, Cap], from any goroutine (the Runner's busy-try
+// path probes it while holding neither role).
+func (r *SPSC[T]) Len() int { return count(&r.tail, &r.head, len(r.buf)) }
 
 // Enqueue adds v; it reports false when full.
 func (r *SPSC[T]) Enqueue(v T) bool {

@@ -3,6 +3,7 @@ package ring
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -139,6 +140,50 @@ func TestSPSCBurstConcurrent(t *testing.T) {
 			want++
 		}
 	}
+	wg.Wait()
+}
+
+// TestSPSCLenInRangeUnderProbe pins Len's contract for a goroutine that
+// holds neither role — the Runner's busy-try path publishes occupancy that
+// way: whatever the producer and the consumer do between its two cursor
+// loads, the figure stays within [0, Cap]. (Reading the producer cursor
+// first let an overtaken prober return a negative count, which went into the
+// bus's occupancy gauge and its EWMA.)
+func TestSPSCLenInRangeUnderProbe(t *testing.T) {
+	r, _ := NewSPSC[int](8)
+	n := soak(t, 200000)
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { // producer
+		defer wg.Done()
+		in := make([]int, 8)
+		for sent := 0; sent < n; {
+			k := r.EnqueueBurst(in[:min(len(in), n-sent)])
+			if k == 0 {
+				runtime.Gosched()
+			}
+			sent += k
+		}
+	}()
+	go func() { // prober
+		defer wg.Done()
+		for !stop.Load() {
+			if l := r.Len(); l < 0 || l > r.Cap() {
+				t.Errorf("Len = %d outside [0, %d]", l, r.Cap())
+				return
+			}
+		}
+	}()
+	out := make([]int, 8)
+	for got := 0; got < n; {
+		k := r.DequeueBurst(out)
+		if k == 0 {
+			runtime.Gosched()
+		}
+		got += k
+	}
+	stop.Store(true)
 	wg.Wait()
 }
 
