@@ -1,7 +1,7 @@
 // Command benchgate is the CI bench-regression gate: it reads `go test
 // -bench` output on stdin, extracts every sample of the gated benchmarks,
 // and fails (exit 1) when a measurement regresses past the committed
-// baseline's gate block(s).
+// baseline's gates.
 //
 // Allocations are deterministic for our hot paths, so allocs/op is
 // compared exactly: one alloc over the baseline fails (a zero budget is
@@ -10,11 +10,11 @@
 // the -count samples is compared (the minimum is the least noisy location
 // statistic for a time measurement).
 //
-// A baseline file carries either a single "gate" block or a "gates" array
-// — BENCH_simulate.json gates the simulator loop, BENCH_ring.json gates
-// both ring specialisations, BENCH_telemetry.json pins the telemetry
-// plane's publish+sample at zero allocations, BENCH_apps.json gates the
-// application burst paths.
+// A baseline file carries a "gates" array — BENCH_simulate.json gates the
+// simulator loop, BENCH_ring.json both ring specialisations,
+// BENCH_telemetry.json pins the telemetry plane's publish+sample at zero
+// allocations, BENCH_apps.json gates the application burst paths,
+// BENCH_mbuf.json the mempool cache.
 //
 // A gate may also carry "min_speedup_over"/"min_speedup_x": the gated
 // benchmark's best ns/op must then be at least min_speedup_x times faster
@@ -31,6 +31,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -50,11 +51,8 @@ type gate struct {
 	MinSpeedupX float64 `json:"min_speedup_x,omitempty"`
 }
 
-// baseline mirrors the gate block(s) of a BENCH_*.json file.
-type baseline struct {
-	Gate  gate   `json:"gate"`
-	Gates []gate `json:"gates"`
-}
+// defaultGuard is the ns/op guard factor of a gate that names none.
+const defaultGuard = 3
 
 // sample aggregates the stdin measurements of one benchmark.
 type sample struct {
@@ -63,36 +61,84 @@ type sample struct {
 	maxAllocs int64
 }
 
+// parseBaseline extracts the gates of a BENCH_*.json file, filling in the
+// default guard factor. The single "gate" object older baselines carried is
+// refused by name rather than silently gating nothing.
+func parseBaseline(raw []byte) ([]gate, error) {
+	var b struct {
+		Legacy json.RawMessage `json:"gate"`
+		Gates  []gate          `json:"gates"`
+	}
+	if err := json.Unmarshal(raw, &b); err != nil {
+		return nil, err
+	}
+	if b.Legacy != nil {
+		return nil, errors.New(`legacy "gate" object: list it in a "gates" array`)
+	}
+	if len(b.Gates) == 0 {
+		return nil, errors.New(`no "gates"`)
+	}
+	for i := range b.Gates {
+		if g := &b.Gates[i]; g.TimeGuardFactor <= 0 {
+			g.TimeGuardFactor = defaultGuard
+		}
+	}
+	return b.Gates, nil
+}
+
+// evaluate judges the collected samples against every gate and returns one
+// line per violation, so one CI run surfaces them all; passes are printed.
+func evaluate(gates []gate, seen map[string]*sample) []string {
+	var fails []string
+	for _, g := range gates {
+		s := seen[g.Benchmark]
+		if s == nil {
+			fails = append(fails, fmt.Sprintf("no %s samples on stdin (did the benchmark run with -benchmem?)", g.Benchmark))
+			continue
+		}
+		before := len(fails)
+		if s.maxAllocs > g.MaxAllocsPerOp {
+			fails = append(fails, fmt.Sprintf("FAIL %s allocs/op %d > baseline %d (allocations are deterministic: this is a real regression)",
+				g.Benchmark, s.maxAllocs, g.MaxAllocsPerOp))
+		}
+		if limit := g.NsPerOpRef * g.TimeGuardFactor; g.NsPerOpRef > 0 && s.minNs > limit {
+			fails = append(fails, fmt.Sprintf("FAIL %s best ns/op %.0f > %.1fx baseline %.0f (guard factor absorbs shared-runner noise; this is beyond it)",
+				g.Benchmark, s.minNs, g.TimeGuardFactor, g.NsPerOpRef))
+		}
+		if g.SpeedupOver != "" && g.MinSpeedupX > 0 {
+			if ref := seen[g.SpeedupOver]; ref == nil {
+				fails = append(fails, fmt.Sprintf("no %s samples on stdin (referenced by %s's speedup gate)", g.SpeedupOver, g.Benchmark))
+			} else if speedup := ref.minNs / s.minNs; speedup < g.MinSpeedupX {
+				fails = append(fails, fmt.Sprintf("FAIL %s only %.2fx faster than %s, gate requires >= %.1fx (same-run ratio: noise cancels, this is a real regression)",
+					g.Benchmark, speedup, g.SpeedupOver, g.MinSpeedupX))
+			} else {
+				fmt.Printf("benchgate: %s is %.2fx faster than %s (gate >= %.1fx)\n",
+					g.Benchmark, speedup, g.SpeedupOver, g.MinSpeedupX)
+			}
+		}
+		if len(fails) == before {
+			fmt.Printf("benchgate: PASS %s: best %.0f ns/op (<= %.1fx %.0f), worst %d allocs/op (<= %d)\n",
+				g.Benchmark, s.minNs, g.TimeGuardFactor, g.NsPerOpRef, s.maxAllocs, g.MaxAllocsPerOp)
+		}
+	}
+	return fails
+}
+
 func main() {
-	var (
-		path = flag.String("baseline", "BENCH_simulate.json", "baseline JSON with a gate block or gates array")
-	)
+	path := flag.String("baseline", "BENCH_simulate.json", "baseline JSON with a gates array")
 	flag.Parse()
 
 	raw, err := os.ReadFile(*path)
 	if err != nil {
 		fatal("read baseline: %v", err)
 	}
-	var b baseline
-	if err := json.Unmarshal(raw, &b); err != nil {
-		fatal("parse baseline %s: %v", *path, err)
-	}
-	gates := b.Gates
-	if b.Gate.Benchmark != "" {
-		gates = append(gates, b.Gate)
-	}
-	if len(gates) == 0 {
-		fatal("baseline %s has no usable gate block", *path)
+	gates, err := parseBaseline(raw)
+	if err != nil {
+		fatal("baseline %s: %v", *path, err)
 	}
 	// Collect samples for every gated benchmark plus any speedup reference.
 	watch := make(map[string]bool, len(gates))
-	byName := make(map[string]*gate, len(gates))
-	for i := range gates {
-		g := &gates[i]
-		if g.TimeGuardFactor <= 0 {
-			g.TimeGuardFactor = 3
-		}
-		byName[g.Benchmark] = g
+	for _, g := range gates {
 		watch[g.Benchmark] = true
 		if g.SpeedupOver != "" {
 			watch[g.SpeedupOver] = true
@@ -134,46 +180,11 @@ func main() {
 		fatal("read stdin: %v", err)
 	}
 
-	fail := false
-	for _, g := range gates {
-		s := seen[g.Benchmark]
-		if s == nil {
-			fatal("no %s samples on stdin (did the benchmark run with -benchmem?)", g.Benchmark)
-		}
-		// Check both budgets so one CI run surfaces every violation.
-		gateFail := false
-		if s.maxAllocs > g.MaxAllocsPerOp {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL %s allocs/op %d > baseline %d (allocations are deterministic: this is a real regression)\n",
-				g.Benchmark, s.maxAllocs, g.MaxAllocsPerOp)
-			gateFail = true
-		}
-		if limit := g.NsPerOpRef * g.TimeGuardFactor; g.NsPerOpRef > 0 && s.minNs > limit {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL %s best ns/op %.0f > %.1fx baseline %.0f (guard factor absorbs shared-runner noise; this is beyond it)\n",
-				g.Benchmark, s.minNs, g.TimeGuardFactor, g.NsPerOpRef)
-			gateFail = true
-		}
-		if g.SpeedupOver != "" && g.MinSpeedupX > 0 {
-			ref := seen[g.SpeedupOver]
-			if ref == nil {
-				fatal("no %s samples on stdin (referenced by %s's speedup gate)", g.SpeedupOver, g.Benchmark)
-			}
-			if speedup := ref.minNs / s.minNs; speedup < g.MinSpeedupX {
-				fmt.Fprintf(os.Stderr, "benchgate: FAIL %s only %.2fx faster than %s, gate requires >= %.1fx (same-run ratio: noise cancels, this is a real regression)\n",
-					g.Benchmark, speedup, g.SpeedupOver, g.MinSpeedupX)
-				gateFail = true
-			} else {
-				fmt.Printf("benchgate: %s is %.2fx faster than %s (gate >= %.1fx)\n",
-					g.Benchmark, speedup, g.SpeedupOver, g.MinSpeedupX)
-			}
-		}
-		if gateFail {
-			fail = true
-			continue
-		}
-		fmt.Printf("benchgate: PASS %s: best %.0f ns/op (<= %.1fx %.0f), worst %d allocs/op (<= %d)\n",
-			g.Benchmark, s.minNs, g.TimeGuardFactor, g.NsPerOpRef, s.maxAllocs, g.MaxAllocsPerOp)
+	fails := evaluate(gates, seen)
+	for _, f := range fails {
+		fmt.Fprintln(os.Stderr, "benchgate: "+f)
 	}
-	if fail {
+	if len(fails) > 0 {
 		os.Exit(1)
 	}
 }

@@ -24,10 +24,11 @@ import (
 )
 
 // defaultDirs is the documented surface the repo commits to: the facade
-// package plus the telemetry, elastic, observability and mbuf planes.
-// Widen deliberately — a directory added here becomes an API-doc contract
+// package, the telemetry, elastic, observability and mbuf planes, and the
+// sched seam both execution substrates compile against. Widen
+// deliberately — a directory added here becomes an API-doc contract
 // enforced by CI.
-var defaultDirs = []string{".", "internal/telemetry", "internal/elastic", "internal/obsv", "internal/mbuf"}
+var defaultDirs = []string{".", "internal/telemetry", "internal/elastic", "internal/obsv", "internal/mbuf", "internal/sched"}
 
 func main() {
 	flag.Parse()

@@ -6,10 +6,11 @@
 // wakes and wins the race drains the queue (a busy period), releases the
 // lock and re-arms a short timeout TS; a thread that loses notes the busy
 // period, re-targets a random queue (multiqueue) and re-arms a long timeout
-// TL >> TS. All timeout, load-estimation and queue-selection decisions are
-// delegated to a sched.Policy, the same engine the live runtime in
-// internal/runtime uses — the twin only supplies the discrete-event
-// substrate underneath it.
+// TL >> TS. Every decision of that loop — may the thread contend, where and
+// how long a loser sleeps, what a finished cycle publishes and re-arms — is a
+// call into one sched.Cycle, the same seam the live runtime in
+// internal/runtime calls — the twin only supplies the discrete-event
+// substrate underneath it: virtual clock, lock flags, the fluid drain.
 package core
 
 import (
@@ -198,11 +199,8 @@ type Runtime struct {
 	Eng     *sim.Engine
 	Queues  []*nic.Queue
 	Acct    *cpu.Accounting
-	policy  sched.Policy
-	group   sched.GroupPolicy // non-nil when the policy binds service groups
-	dephase sched.Dephaser    // non-nil when the policy staggers group wakes
-	bus     *telemetry.Bus    // nil unless Cfg.Bus
-	faults  *faults.Injector  // nil unless Cfg.Faults
+	cyc     sched.Cycle    // Listing 2's decisions: policy, fault gate, cycle-end publishes
+	bus     *telemetry.Bus // nil unless Cfg.Bus
 	threads []*thread
 
 	// active is the current team size: threads[0:active] are serving,
@@ -268,6 +266,10 @@ func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 		cfg.FreqScale = 1
 	}
 	n := len(queues)
+	cyc, err := sched.NewCycle(PolicyName(cfg), policyConfig(cfg, n), cfg.Faults)
+	if err != nil {
+		panic(err)
+	}
 	// One backing array per element type for the per-queue state: the
 	// slices are independent views, the allocator sees three makes instead
 	// of seven (the alloc gate in BENCH_simulate.json counts them).
@@ -278,7 +280,8 @@ func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 		Eng:            eng,
 		Queues:         queues,
 		Acct:           cpu.NewAccounting(cfg.M),
-		policy:         sched.MustNew(PolicyName(cfg), policyConfig(cfg, len(queues))),
+		cyc:            cyc,
+		bus:            cfg.Bus,
 		locked:         make([]bool, n),
 		lastRelease:    qfloats[0:n:n],
 		provisionedQ:   qfloats[n : 2*n : 2*n],
@@ -289,13 +292,8 @@ func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 		CyclesQ:        qcounts[2*n : 3*n : 3*n],
 		CyclesByThread: make([]int64, cfg.M),
 	}
-	r.group, _ = r.policy.(sched.GroupPolicy)
-	r.dephase, _ = r.policy.(sched.Dephaser)
-	r.bus = cfg.Bus
-	r.faults = cfg.Faults
 	r.active = cfg.M
-	r.placement = make([]int, len(queues))
-	r.refreshPlacement()
+	r.placement = cyc.Placement(r.active)
 	if r.bus != nil {
 		for q, queue := range queues {
 			r.bus.SetCapacity(q, float64(queue.Opt.Cap))
@@ -306,7 +304,7 @@ func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 			// the staleness detector is supposed to see.
 			q := q
 			queue.LatSink = func(lat float64) {
-				if r.pubGauges(q) {
+				if r.cyc.Publishes(q) {
 					r.bus.RecordLatency(q, stats.SecondsToNs(lat))
 				}
 			}
@@ -412,7 +410,7 @@ func (r *Runtime) Start() {
 }
 
 // Policy exposes the scheduling discipline driving this runtime.
-func (r *Runtime) Policy() sched.Policy { return r.policy }
+func (r *Runtime) Policy() sched.Policy { return r.cyc.Policy() }
 
 // TeamSize returns the current number of active retrieval threads.
 func (r *Runtime) TeamSize() int { return r.active }
@@ -440,10 +438,7 @@ func (r *Runtime) SetTeamSize(m int) int {
 // CanPlace reports whether ApplyPlacement plans actually land per queue:
 // true only when the discipline binds placeable groups (sched.Rebalancer).
 // Roaming disciplines accept plans but degrade them to the total.
-func (r *Runtime) CanPlace() bool {
-	_, ok := r.policy.(sched.Rebalancer)
-	return ok
-}
+func (r *Runtime) CanPlace() bool { return r.cyc.CanPlace() }
 
 // ApplyPlacement adopts a full placement plan mid-run — the sim substrate
 // of the placement plane. perQueue[q] members are provisioned for queue q
@@ -458,11 +453,11 @@ func (r *Runtime) CanPlace() bool {
 // finishes any in-flight cycle, lets its pending timer fire once, and
 // parks. Active threads whose home queue moved migrate through ordinary
 // engine events — each finishes its current cycle and re-arms on its new
-// home via the existing GroupPolicy.HomeQueue return path — so a
-// rebalancing run stays deterministic at any experiment-harness
-// parallelism. The policy adopts the plan through sched.Rebalancer when it
-// can place (rmetronome/worksteal swap a complete home/rank/size layout
-// and republish eq. (13) per group) and through sched.Resizable otherwise;
+// home via sched.Cycle.Finish's home return — so a rebalancing run stays
+// deterministic at any experiment-harness parallelism. The policy adopts
+// the plan through sched.Cycle.Adopt (rmetronome/worksteal swap a complete
+// home/rank/size layout and republish eq. (13) per group; roaming
+// disciplines take the total);
 // per-queue provisioning integrals ∫r_q(t)dt accrue at the old plan up to
 // now and at the new plan afterwards.
 func (r *Runtime) ApplyPlacement(perQueue []int) int {
@@ -477,12 +472,7 @@ func (r *Runtime) ApplyPlacement(perQueue []int) int {
 		th := r.addThread(nil)
 		th.retired, th.parked = true, true
 	}
-	switch p := r.policy.(type) {
-	case sched.Rebalancer:
-		p.SetPlacement(sizes)
-	case sched.Resizable:
-		p.SetTeamSize(total)
-	}
+	r.cyc.Adopt(sizes, total)
 	for i, th := range r.threads {
 		wasParked := th.parked
 		th.retired = i >= total
@@ -494,26 +484,9 @@ func (r *Runtime) ApplyPlacement(perQueue []int) int {
 		// Start, nothing is armed here: Start arms whoever is active then.
 	}
 	r.active = total
-	r.refreshPlacement()
+	r.placement = r.cyc.Placement(total)
 	r.Cfg.Recorder.RecordPlacement(r.Eng.Now(), r.active, sched.PackPlacement(r.placement))
 	return r.active
-}
-
-// refreshPlacement records what the discipline actually holds per queue:
-// the group sizes when the policy binds service groups, the balanced
-// split otherwise (non-group disciplines let threads roam, so balance is
-// the honest provisioning statement).
-func (r *Runtime) refreshPlacement() {
-	if g, ok := r.policy.(sched.Rebalancer); ok {
-		copy(r.placement, g.Placement())
-		return
-	}
-	for q := range r.placement {
-		r.placement[q] = 0
-	}
-	for i := 0; i < r.active; i++ {
-		r.placement[i%len(r.placement)]++
-	}
 }
 
 // accrueProvisioned folds the elapsed window into the total and per-queue
@@ -531,17 +504,14 @@ func (r *Runtime) accrueProvisioned(now float64) {
 // under the resize) and arm a de-phased first wake, like Start does.
 func (r *Runtime) unpark(th *thread) {
 	th.parked = false
-	th.queue = th.id % len(r.Queues)
-	if r.group != nil {
-		th.queue = r.group.HomeQueue(th.id)
-	}
+	th.queue = r.cyc.Home(th.id)
 	r.armFirstWake(th)
 }
 
 // armFirstWake schedules a thread's first wakeup, de-phased across one
 // timeout so team changes do not synchronise the group.
 func (r *Runtime) armFirstWake(th *thread) {
-	first := th.rng.Uniform(0, r.policy.TS(th.queue)+1e-9)
+	first := th.rng.Uniform(0, r.TS(th.queue)+1e-9)
 	r.Eng.After(first, "metronome-first-wake", th.wakeFn)
 }
 
@@ -619,13 +589,13 @@ func (r *Runtime) Residency(now, wall float64, budget int) power.Residency {
 
 // Group exposes the shared-queue extension of the policy, or nil when the
 // discipline does not bind service groups.
-func (r *Runtime) Group() sched.GroupPolicy { return r.group }
+func (r *Runtime) Group() sched.GroupPolicy { return r.cyc.Group() }
 
 // TS returns the current short timeout of queue q (for sampling hooks).
-func (r *Runtime) TS(q int) float64 { return r.policy.TS(q) }
+func (r *Runtime) TS(q int) float64 { return r.cyc.Policy().TS(q) }
 
 // Rho returns the current load estimate of queue q.
-func (r *Runtime) Rho(q int) float64 { return r.policy.Rho(q) }
+func (r *Runtime) Rho(q int) float64 { return r.cyc.Policy().Rho(q) }
 
 // MuEffective returns the service rate after frequency scaling.
 func (r *Runtime) MuEffective() float64 { return r.Cfg.Mu * r.Cfg.FreqScale }
@@ -635,24 +605,10 @@ func (r *Runtime) BusyTryFraction() float64 {
 	return stats.Ratio(r.BusyTries.Value, r.Tries.Value)
 }
 
-// pubGauges reports whether queue q's telemetry gauges should publish this
-// event: a bus is attached and the fault plane has not frozen the queue's
-// telemetry (a frozen queue keeps serving — only its gauges go stale, which
-// is exactly the brownout the controller's health layer must survive).
-func (r *Runtime) pubGauges(q int) bool {
-	return r.bus != nil && (r.faults == nil || !r.faults.TelemetryFrozen(q))
-}
-
 // ThreadHome returns the queue thread id is homed on under the current
-// placement: the group layout's home when the discipline binds service
-// groups, the balanced modulo assignment otherwise. The elastic health
-// layer uses it to aim corrective plans at an unhealthy member's queue.
-func (r *Runtime) ThreadHome(id int) int {
-	if r.group != nil {
-		return r.group.HomeQueue(id)
-	}
-	return id % len(r.Queues)
-}
+// placement (sched.Cycle.Home). The elastic health layer uses it to aim
+// corrective plans at an unhealthy member's queue.
+func (r *Runtime) ThreadHome(id int) int { return r.cyc.Home(id) }
 
 // wakeup is the body of Listing 2: trylock, drain-or-flee, re-arm.
 func (r *Runtime) wakeup(th *thread) {
@@ -664,22 +620,21 @@ func (r *Runtime) wakeup(th *thread) {
 		th.parked = true
 		return
 	}
-	if f := r.faults; f != nil {
-		if f.Dead(th.id) {
-			// Thread death: the pending timer fires one last time and the
-			// thread parks for good. Revival goes through the placement path
-			// (an ApplyPlacement un-park arms a fresh wake).
-			th.parked = true
-			return
-		}
-		if until, ok := f.StalledUntil(th.id); ok && r.Eng.Now() < until {
-			// Stall: the thread sleeps through its service turns until the
-			// window ends, without contending or re-tuning anything.
-			r.Eng.At(until, "metronome-stall-resume", th.wakeFn)
-			return
-		}
-	}
 	now := r.Eng.Now()
+	switch gate, until := r.cyc.Gate(th.id, now); gate {
+	case sched.GateDead:
+		// Thread death: the pending timer fires one last time and the
+		// thread parks for good — no engine event would poll the flag.
+		// Revival goes through the placement path (an ApplyPlacement
+		// un-park arms a fresh wake).
+		th.parked = true
+		return
+	case sched.GateStalled:
+		// Stall: the thread sleeps through its service turns until the
+		// window ends, without contending or re-tuning anything.
+		r.Eng.At(until, "metronome-stall-resume", th.wakeFn)
+		return
+	}
 	r.Acct.AddBusy(th.id, r.Cfg.WakeCost)
 	r.Tries.Inc()
 	q := th.queue
@@ -689,7 +644,7 @@ func (r *Runtime) wakeup(th *thread) {
 		// random queue for the next attempt (Sec. IV-E) and sleep TL.
 		r.BusyTries.Inc()
 		r.BusyTriesQ[q]++
-		if r.pubGauges(q) {
+		if r.cyc.Publishes(q) {
 			// The queue is mid-service, so Occupancy reads the fluid
 			// model's last slice boundary without advancing arrivals.
 			r.bus.SetOccupancy(q, r.Queues[q].Occupancy(now))
@@ -700,39 +655,32 @@ func (r *Runtime) wakeup(th *thread) {
 		if r.Cfg.Tracer != nil {
 			r.Cfg.Tracer.Wake(now, th.id, q, false)
 		}
-		th.queue = r.policy.PickBackupQueue(q, th.rng)
-		tl := r.policy.TL(q)
-		if r.dephase != nil {
-			// A colliding group member re-spreads onto the rotation clock
-			// (no-op for foreign re-targets).
-			tl = r.dephase.Dephase(th.id, th.queue, tl, true)
-		}
+		var tl float64
+		th.queue, tl = r.cyc.LostRace(th.id, q, th.rng)
 		r.sleepTraced(th, tl, true)
 		return
 	}
 	// Lock won: serve the queue. Shared-queue disciplines additionally
 	// claim the queue's service turn; sequential execution means the claim
-	// cannot fail here (see sched.GroupPolicy — in the live runtime the
+	// cannot fail here (see sched.Cycle.ClaimTurn — in the live runtime the
 	// claim runs before the trylock as an admission filter), so in the twin
 	// the counter is an exact tally of the service turns each queue began.
-	if r.group != nil {
-		r.group.ClaimTurn(q)
-	}
+	r.cyc.ClaimTurn(q)
 	if r.Cfg.Tracer != nil {
 		r.Cfg.Tracer.Wake(now, th.id, q, true)
 	}
 	r.locked[q] = true
 	queue := r.Queues[q]
-	if r.faults != nil {
+	if r.Cfg.Faults != nil {
 		// Blackout sync: flip the fluid model's dark bit to match the
 		// injector before the poll, so a dark queue sees nv=0 while its
 		// backlog accrues and a recovered one surfaces the backlog now.
-		queue.SetDark(now, r.faults.QueueDark(q))
+		queue.SetDark(now, r.cyc.Dark(q))
 	}
 	th.vacation = now - r.lastRelease[q]
 	th.serviceStart = now
 	nv := queue.BeginService(now, r.noisyMu(th))
-	if r.pubGauges(q) {
+	if r.cyc.Publishes(q) {
 		// N_V is the wake-time occupancy: the signal the elastic
 		// controller holds at target and the work-stealing backup ranking
 		// reacts to within one vacation.
@@ -781,9 +729,10 @@ func (r *Runtime) serveSlices(th *thread, sliceStart float64) {
 	r.Eng.At(end, "metronome-release", th.releaseFn)
 }
 
-// finishCycle releases the lock, hands the cycle to the policy engine —
-// which folds it into the load estimate and re-evaluates TS — and puts the
-// thread back to sleep as the (new) primary of this queue.
+// finishCycle releases the lock, publishes what the drain left behind, hands
+// the cycle to sched.Cycle.Finish — which folds it into the load estimate,
+// re-evaluates TS and publishes the cycle-end gauges — and puts the thread
+// back to sleep as the (new) primary of the queue Finish names.
 func (r *Runtime) finishCycle(th *thread) {
 	q := th.queue
 	now := th.sliceEnd
@@ -793,14 +742,16 @@ func (r *Runtime) finishCycle(th *thread) {
 	r.Cycles.Inc()
 	r.CyclesQ[q]++
 	r.CyclesByThread[th.id]++
-	ts := r.policy.ObserveCycle(q, busy, th.vacation)
 	if r.Cfg.OnCycle != nil {
 		r.Cfg.OnCycle(q, th.vacation, busy)
 	}
 	if r.Cfg.Tracer != nil {
 		r.Cfg.Tracer.Release(now, th.id, q, busy)
 	}
-	if r.pubGauges(q) {
+	if r.cyc.Publishes(q) {
+		// The drain-coupled gauges go first: Finish bumps the queue's
+		// publish sequence, and that bump has to stay the cycle's last
+		// store.
 		queue := r.Queues[q]
 		r.bus.SetOccupancy(q, 0) // drained by construction of EndService
 		if dt := now - r.occIntAt[q]; dt > 0 {
@@ -811,37 +762,18 @@ func (r *Runtime) finishCycle(th *thread) {
 			r.occIntLast[q] = integ
 			r.occIntAt[q] = now
 		}
-		r.bus.SetRho(q, r.policy.Rho(q))
 		r.bus.SetDrops(q, uint64(queue.Drops))
 		r.bus.SetRx(q, uint64(queue.RxPackets))
-		r.bus.SetThreadBusy(th.id, r.Acct.Busy(th.id))
-		r.bus.BumpPub(q)
 	}
-	if r.bus != nil {
-		// The heartbeat publishes even when the queue's gauges are frozen:
-		// staleness is a property of the telemetry path, liveness of the
-		// thread — the health layer tells them apart by which one moves.
-		r.bus.SetHeartbeat(th.id, now)
-	}
+	next, ts := r.cyc.Finish(th.id, q, busy, th.vacation, r.Acct.Busy(th.id), now)
 	if th.retired {
 		// Retired mid-service: the cycle completed cleanly, now park
-		// instead of re-arming (see SetTeamSize).
+		// instead of re-arming (see SetTeamSize). The thread keeps the
+		// queue it served; unpark re-homes it.
 		th.parked = true
 		return
 	}
-	// Shared-queue disciplines keep service groups stable: a member that
-	// served a foreign queue as backup returns home and re-arms its home
-	// queue's member timeout, so each group actually holds the size its
-	// eq. (13) timeout assumes.
-	if r.group != nil {
-		if home := r.group.HomeQueue(th.id); home != q {
-			th.queue = home
-			ts = r.policy.TS(home)
-		}
-	}
-	if r.dephase != nil {
-		ts = r.dephase.Dephase(th.id, th.queue, ts, false)
-	}
+	th.queue = next
 	r.sleepTraced(th, ts, false)
 }
 

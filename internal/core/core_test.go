@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"metronome/internal/hrtimer"
@@ -302,6 +304,40 @@ func TestMultiqueueUnbalanced(t *testing.T) {
 	// Heavy queue's busy periods are longer, so it completes fewer cycles.
 	if queues[heavyIdx].BusyObs.N() >= queues[(heavyIdx+1)%3].BusyObs.N() {
 		t.Errorf("heavy queue completed more cycles than a light one")
+	}
+}
+
+// TestBusSizedForDeployment: a telemetry bus with fewer queue slots than the
+// deployment has queues is refused at construction, by a message naming both
+// counts — not by an index panic from whichever publish comes first.
+func TestBusSizedForDeployment(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bus  *telemetry.Bus
+		ok   bool
+	}{
+		{"equal", telemetry.NewBus(2, 4), true},
+		{"larger", telemetry.NewBus(5, 4), true},
+		{"smaller", telemetry.NewBus(1, 4), false},
+		{"nil bus", nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if tc.ok && msg != "<nil>" {
+					t.Fatalf("refused: %s", msg)
+				}
+				if !tc.ok && (!strings.Contains(msg, "1 queue slots") || !strings.Contains(msg, "2 queues")) {
+					t.Fatalf("panic %q does not name both counts", msg)
+				}
+			}()
+			cfg := DefaultConfig()
+			cfg.Bus = tc.bus
+			_, m := runMulti(t, cfg, 2, 4e6, 2e-3)
+			if m.Cycles == 0 {
+				t.Fatal("accepted deployment served nothing")
+			}
+		})
 	}
 }
 

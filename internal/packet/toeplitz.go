@@ -23,8 +23,8 @@ var DefaultRSSKey = [40]byte{
 // table per input byte position, each entry the XOR of the key windows of
 // that byte value's set bits — so hashing a 12-byte RSS tuple costs 12
 // table loads and XORs instead of a 96-iteration bit walk. GF(2) linearity
-// makes the tables exact, and the bit-walk reference implementation stays
-// behind (hashSlow) as the equivalence-test oracle.
+// makes the tables exact; the bit-walk reference implementation is the
+// equivalence-test oracle (hashSlow in toeplitz_test.go).
 type Toeplitz struct {
 	key [40]byte
 	// tab[i][v] is the hash contribution of byte value v at input byte
@@ -64,20 +64,6 @@ func (t *Toeplitz) Hash(input []byte) uint32 {
 	var result uint32
 	for i, b := range input {
 		result ^= t.tab[i][b]
-	}
-	return result
-}
-
-// hashSlow is the per-bit reference walk of the RSS specification, kept as
-// the oracle the table path is equivalence-tested against.
-func (t *Toeplitz) hashSlow(input []byte) uint32 {
-	var result uint32
-	for i, b := range input {
-		for bit := 0; bit < 8; bit++ {
-			if b&(0x80>>uint(bit)) != 0 {
-				result ^= t.window(i*8 + bit)
-			}
-		}
 	}
 	return result
 }

@@ -64,6 +64,20 @@ func TestToeplitzLinearity(t *testing.T) {
 	}
 }
 
+// hashSlow is the per-bit reference walk of the RSS specification, kept as
+// the oracle the table path is equivalence-tested against.
+func (t *Toeplitz) hashSlow(input []byte) uint32 {
+	var result uint32
+	for i, b := range input {
+		for bit := 0; bit < 8; bit++ {
+			if b&(0x80>>uint(bit)) != 0 {
+				result ^= t.window(i*8 + bit)
+			}
+		}
+	}
+	return result
+}
+
 func TestToeplitzTableMatchesBitWalk(t *testing.T) {
 	// The lookup-table Hash must agree bit-for-bit with the per-bit
 	// reference walk of the RSS spec, over random keys and every input

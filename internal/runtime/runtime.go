@@ -120,6 +120,15 @@ func NewRxRing(capacity, producers, consumers int) (RxRing, error) {
 // pool's producer side.
 type Handler func(batch []*mbuf.Mbuf)
 
+// handlerProc is the processor New puts in front of a Handler: it decides
+// nothing, so the burst reaches the emit — the handler — untouched.
+type handlerProc struct{}
+
+func (handlerProc) Name() string                              { return "handler" }
+func (handlerProc) Process(*mbuf.Mbuf) apps.Verdict           { return apps.Forward }
+func (handlerProc) CyclesPerPacket() float64                  { return 0 }
+func (handlerProc) ProcessBurst([]*mbuf.Mbuf, []apps.Verdict) {}
+
 // EmitFunc disposes of a served burst in the processor path: ms[i] carries
 // verdicts[i] (Forward packets have been rewritten in place). The emit owns
 // the mbufs — it must Free them or hand them on — and the verdict slice is
@@ -141,15 +150,11 @@ type Config struct {
 	M int
 	// VBar is the target vacation period (default 200us: Go timers are
 	// coarser than hr_sleep, so the target sits higher than DPDK's). It is
-	// what the policy asks the Sleeper for, not what the default GoSleeper
-	// delivers: on Linux a time.Sleep from a P that then goes idle rounds
-	// up to the netpoller's 1 ms epoll_wait granularity (measured
-	// overshoot p50 650-1070us for 50-475us requests), and the M
-	// goroutines' timers then fire in one clump (vacation p50 2.8us
-	// between them, then a millisecond of nothing). Vacations that short
-	// read to the load estimator as a busy queue, so the published rho
-	// over-reads at light load (0.23 measured at a true 0.03). VBar is
-	// also the unit of the saturated-queue linger (see Runner.linger).
+	// what the policy asks the Sleeper for, not what the Sleeper delivers:
+	// the default GoSleeper wakes on a millisecond grid (measured in the
+	// hrtimer package doc and bench/BASELINE.md; what the clumped wakes do
+	// to the load estimate is ROADMAP item 2). VBar is also the unit of the
+	// saturated-queue linger (see Runner.linger).
 	VBar time.Duration
 	// TL is the backup timeout (default 50*VBar).
 	TL time.Duration
@@ -232,27 +237,25 @@ type queueState struct {
 	lastRelease atomic.Int64 // nanotime of last lock release
 }
 
-// Runner drives M goroutines over N shared queues. Timeout selection, load
-// estimation and backup queue choice live in the sched.Policy — the same
-// engine the discrete-event twin in internal/core runs on. The team is
-// elastic: SetTeamSize spawns or parks retrieval goroutines mid-run (the
+// Runner drives M goroutines over N shared queues. Listing 2's decisions —
+// the fault gate, a loser's next queue and backoff, what a finished cycle
+// publishes and how long its thread sleeps — are calls into one sched.Cycle,
+// the same seam the discrete-event twin in internal/core calls; the runner
+// supplies the clock, the atomic trylock and the PollBurst drain. The team
+// is elastic: SetTeamSize spawns or parks retrieval goroutines mid-run (the
 // live substrate of internal/elastic).
 type Runner struct {
-	cfg     Config
-	queues  []RxQueue
-	handler Handler               // generic burst path (New)
-	procs   []apps.BurstProcessor // per-queue application path (NewProc)
-	emit    EmitFunc              // burst disposal for the processor path
-	policy  sched.Policy
-	group   sched.GroupPolicy // non-nil when the policy binds service groups
-	dephase sched.Dephaser    // non-nil when the policy staggers group wakes
-	bus     *telemetry.Bus    // nil unless Config.Bus
-	faults  *faults.Injector  // nil unless Config.Faults
-	rec     *obsv.Recorder    // nil unless Config.Recorder
-	lens    []func() int      // per-queue occupancy probes (nil if unknowable)
-	occAt   []atomic.Int64    // per-queue nanotime of the last OccAvg fold
-	state   []queueState
-	Stats   Stats
+	cfg    Config
+	queues []RxQueue
+	procs  []apps.BurstProcessor // per-queue application (a no-op in front of a Handler)
+	emit   EmitFunc              // burst disposal; nil recycles through the goroutine's cache
+	cyc    sched.Cycle           // Listing 2's decisions: policy, fault gate, cycle-end publishes
+	bus    *telemetry.Bus        // nil unless Config.Bus
+	rec    *obsv.Recorder        // nil unless Config.Recorder
+	lens   []func() int          // per-queue occupancy probes (nil if unknowable)
+	occAt  []atomic.Int64        // per-queue nanotime of the last OccAvg fold
+	state  []queueState
+	Stats  Stats
 
 	// Elastic team state. teamSize is the desired team; goroutines with
 	// id >= teamSize park on resizeCh (closed-and-replaced on every
@@ -269,13 +272,19 @@ type Runner struct {
 	start time.Time
 }
 
-// New builds a runner. It panics on an empty queue set or nil handler —
-// both are programming errors, not runtime conditions.
+// New builds a runner whose drains go to handler, one call per burst. It
+// panics on an empty queue set or nil handler — both are programming
+// errors, not runtime conditions. It is NewProc with a processor that does
+// nothing and the handler as the emit, so there is one dispatch path.
 func New(queues []RxQueue, handler Handler, cfg Config) *Runner {
 	if handler == nil {
 		panic("runtime: nil handler")
 	}
-	return newRunner(queues, handler, nil, nil, cfg)
+	procs := make([]apps.BurstProcessor, len(queues))
+	for i := range procs {
+		procs[i] = handlerProc{}
+	}
+	return NewProc(queues, procs, func(_ int, ms []*mbuf.Mbuf, _ []apps.Verdict) { handler(ms) }, cfg)
 }
 
 // NewProc builds a runner on the burst-native application path: queue q's
@@ -302,12 +311,6 @@ func NewProc(queues []RxQueue, procs []apps.BurstProcessor, emit EmitFunc, cfg C
 			panic("runtime: nil processor")
 		}
 	}
-	// A nil emit stays nil: threadLoop routes it to the per-goroutine
-	// recycler's bulk-free path (FreeAll semantics, batched).
-	return newRunner(queues, nil, procs, emit, cfg)
-}
-
-func newRunner(queues []RxQueue, handler Handler, procs []apps.BurstProcessor, emit EmitFunc, cfg Config) *Runner {
 	if len(queues) == 0 {
 		panic("runtime: no queues")
 	}
@@ -323,30 +326,30 @@ func newRunner(queues []RxQueue, handler Handler, procs []apps.BurstProcessor, e
 			name = sched.NameAdaptive
 		}
 	}
+	cyc, err := sched.NewCycle(name, sched.Config{
+		VBar:    cfg.VBar.Seconds(),
+		TL:      cfg.TL.Seconds(),
+		TSFixed: cfg.TSFixed.Seconds(),
+		M:       cfg.M,
+		N:       len(queues),
+		Alpha:   cfg.Alpha,
+		Bus:     cfg.Bus,
+		Dephase: cfg.Dephase,
+	}, cfg.Faults)
+	if err != nil {
+		panic(err)
+	}
 	r := &Runner{
-		cfg:     cfg,
-		queues:  queues,
-		handler: handler,
-		procs:   procs,
-		emit:    emit,
-		policy: sched.MustNew(name, sched.Config{
-			VBar:    cfg.VBar.Seconds(),
-			TL:      cfg.TL.Seconds(),
-			TSFixed: cfg.TSFixed.Seconds(),
-			M:       cfg.M,
-			N:       len(queues),
-			Alpha:   cfg.Alpha,
-			Bus:     cfg.Bus,
-			Dephase: cfg.Dephase,
-		}),
+		cfg:      cfg,
+		queues:   queues,
+		procs:    procs,
+		emit:     emit,
+		cyc:      cyc,
+		bus:      cfg.Bus,
+		rec:      cfg.Recorder,
 		state:    make([]queueState, len(queues)),
 		resizeCh: make(chan struct{}),
 	}
-	r.group, _ = r.policy.(sched.GroupPolicy)
-	r.dephase, _ = r.policy.(sched.Dephaser)
-	r.bus = cfg.Bus
-	r.faults = cfg.Faults
-	r.rec = cfg.Recorder
 	r.teamSize.Store(int32(cfg.M))
 	// Occupancy probes: any queue exposing Len (RxRing does) feeds the
 	// telemetry plane; opaque sources simply stay dark on that signal.
@@ -397,13 +400,13 @@ func (r *Runner) publishOcc(q int, now int64) {
 }
 
 // Policy exposes the scheduling discipline driving this runner.
-func (r *Runner) Policy() sched.Policy { return r.policy }
+func (r *Runner) Policy() sched.Policy { return r.cyc.Policy() }
 
 // Rho returns queue q's current load estimate.
-func (r *Runner) Rho(q int) float64 { return r.policy.Rho(q) }
+func (r *Runner) Rho(q int) float64 { return r.cyc.Policy().Rho(q) }
 
 // TS returns queue q's current short timeout.
-func (r *Runner) TS(q int) time.Duration { return seconds(r.policy.TS(q)) }
+func (r *Runner) TS(q int) time.Duration { return seconds(r.cyc.Policy().TS(q)) }
 
 // seconds converts the policy engine's float64 seconds to a Duration.
 func seconds(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
@@ -463,10 +466,10 @@ func (r *Runner) SetTeamSize(m int) int {
 // Growth spawns goroutines past the high-water mark and wakes parked ones
 // via a closed-channel broadcast; shrinkage lets surplus goroutines finish
 // their current cycle and park. The policy adopts the plan through
-// sched.Rebalancer when it can place (rmetronome/worksteal swap a complete
-// home/rank/size layout behind one atomic pointer) and through
-// sched.Resizable otherwise. Members whose home moved re-home through the
-// existing cycle-end return path without dropping claimed turns: the
+// sched.Cycle.Adopt (rmetronome/worksteal swap a complete home/rank/size
+// layout behind one atomic pointer; roaming disciplines take the total).
+// Members whose home moved re-home through sched.Cycle.Finish's home return
+// without dropping claimed turns: the
 // per-queue CAS turn counters live outside the layout and survive the
 // swap, so a member that claimed a turn before the rebalance still serves
 // it, then re-arms on its new home. Safe to call before Run and from any
@@ -482,16 +485,12 @@ func (r *Runner) ApplyPlacement(perQueue []int) int {
 	}
 	r.resizeMu.Lock()
 	defer r.resizeMu.Unlock()
-	if total == int(r.teamSize.Load()) && r.placementUnchangedLocked(sizes) {
+	if total == int(r.teamSize.Load()) && (!r.cyc.CanPlace() || sched.PlacementEqual(r.cyc.Placement(total), sizes)) {
+		// Unchanged; a roaming discipline carries only the total.
 		return total
 	}
 	r.teamSize.Store(int32(total))
-	switch p := r.policy.(type) {
-	case sched.Rebalancer:
-		p.SetPlacement(sizes)
-	case sched.Resizable:
-		p.SetTeamSize(total)
-	}
+	r.cyc.Adopt(sizes, total)
 	if r.running {
 		for id := r.spawned; id < total; id++ {
 			r.spawnLocked(id)
@@ -508,33 +507,14 @@ func (r *Runner) ApplyPlacement(perQueue []int) int {
 	return total
 }
 
-// placementUnchangedLocked reports whether sizes matches the placement the
-// policy currently holds; non-placing policies only carry the total, which
-// the caller already compared.
-func (r *Runner) placementUnchangedLocked(sizes []int) bool {
-	rb, ok := r.policy.(sched.Rebalancer)
-	if !ok {
-		return true
-	}
-	return sched.PlacementEqual(rb.Placement(), sizes)
-}
-
 // CanPlace reports whether ApplyPlacement plans actually land per queue:
 // true only when the discipline binds placeable groups (sched.Rebalancer).
 // Roaming disciplines accept plans but degrade them to the total.
-func (r *Runner) CanPlace() bool {
-	_, ok := r.policy.(sched.Rebalancer)
-	return ok
-}
+func (r *Runner) CanPlace() bool { return r.cyc.CanPlace() }
 
 // Placement returns the per-queue member counts currently in effect (the
 // policy's group sizes when it places, the balanced split otherwise).
-func (r *Runner) Placement() []int {
-	if rb, ok := r.policy.(sched.Rebalancer); ok {
-		return rb.Placement()
-	}
-	return sched.BalancedPlacement(r.TeamSize(), len(r.queues))
-}
+func (r *Runner) Placement() []int { return r.cyc.Placement(r.TeamSize()) }
 
 // park blocks goroutine id until a resize re-admits it or ctx ends; it
 // returns true when the goroutine should resume serving.
@@ -574,25 +554,14 @@ func (r *Runner) Elapsed() float64 {
 	return time.Since(start).Seconds()
 }
 
-// pubGauges reports whether queue q's telemetry gauges should publish: a bus
-// is attached and the fault plane has not frozen the queue's telemetry.
-func (r *Runner) pubGauges(q int) bool {
-	return r.bus != nil && (r.faults == nil || !r.faults.TelemetryFrozen(q))
-}
-
 // ThreadHome returns the queue goroutine id is homed on under the current
-// placement — the target the elastic health layer aims corrective plans at
-// when it exiles an unhealthy member.
-func (r *Runner) ThreadHome(id int) int {
-	if r.group != nil {
-		return r.group.HomeQueue(id)
-	}
-	return id % len(r.queues)
-}
+// placement (sched.Cycle.Home) — the target the elastic health layer aims
+// corrective plans at when it exiles an unhealthy member.
+func (r *Runner) ThreadHome(id int) int { return r.cyc.Home(id) }
 
 // threadLoop is Listing 2 on a goroutine.
 func (r *Runner) threadLoop(ctx context.Context, id int) {
-	// Each thread owns a private RNG stream (PickBackupQueue consumes it on
+	// Each thread owns a private RNG stream (sched.Cycle.LostRace consumes it on
 	// the backup path) seeded from the full deployment coordinates — run
 	// seed, thread id AND queue count. Folding only (seed, id) would hand
 	// two runners with the same seed but different queue counts identical
@@ -601,18 +570,15 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 	// TestThreadRNGStreamsDependOnQueueCount).
 	rng := xrand.New(xrand.SeedFrom(r.cfg.Seed, uint64(id), uint64(len(r.queues))))
 	buf := make([]*mbuf.Mbuf, r.cfg.Burst)
-	var verdicts []apps.Verdict
+	// The verdict buffer is goroutine-owned and reused for every burst — the
+	// steady state allocates nothing.
+	verdicts := make([]apps.Verdict, r.cfg.Burst)
 	// The default disposal path returns each verdict burst through this
 	// goroutine's recycler: one bulk PutBurst per burst into a per-pool
 	// magazine cache, spilled to the shared ring in spans. Flushed on every
 	// park and on exit so elastic retirement never strands buffers.
 	var recycle mbuf.Recycler
 	defer recycle.Flush()
-	if r.procs != nil {
-		// The processor path's verdict buffer is goroutine-owned and reused
-		// for every burst — the steady state allocates nothing.
-		verdicts = make([]apps.Verdict, r.cfg.Burst)
-	}
 	lats := make([]uint64, 0, r.cfg.Burst) // per-burst latency scratch for the bus histogram
 	q := id % len(r.queues)
 	var busyTotal time.Duration // cumulative on-CPU time, published as duty
@@ -626,30 +592,28 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 			if !r.park(ctx, id) {
 				return
 			}
-			q = id % len(r.queues)
-			if r.group != nil {
-				q = r.group.HomeQueue(id)
-			}
+			q = r.cyc.Home(id)
 			continue
 		}
-		if f := r.faults; f != nil {
-			if f.Dead(id) {
+		if r.cfg.Faults != nil {
+			// Stall windows are seconds on the Elapsed clock; this is the same
+			// clock read without Elapsed's lock.
+			now := time.Duration(r.nanotime()).Seconds()
+			switch gate, until := r.cyc.Gate(id, now); gate {
+			case sched.GateDead:
 				// Thread death: stop cycling (the heartbeat freezes, which is
 				// how the health layer notices) but keep polling the flag so
 				// a revival resumes service without a placement round-trip.
-				r.cfg.Sleeper.Sleep(seconds(r.policy.TL(q)))
+				r.cfg.Sleeper.Sleep(seconds(r.cyc.Policy().TL(q)))
 				continue
-			}
-			if until, ok := f.StalledUntil(id); ok {
-				if now := r.Elapsed(); now < until {
-					// Stall: sleep through the window without contending.
-					r.cfg.Sleeper.Sleep(seconds(until - now))
-					continue
-				}
+			case sched.GateStalled:
+				// Stall: sleep through the window without contending.
+				r.cfg.Sleeper.Sleep(seconds(until - now))
+				continue
 			}
 		}
 		r.Stats.Tries.Add(1)
-		if r.pubGauges(q) {
+		if r.cyc.Publishes(q) {
 			r.bus.AddTries(q, 1)
 		}
 		// Shared-queue disciplines CAS-claim the queue's service turn
@@ -659,26 +623,21 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 		// short-circuit skips the trylock). Either way a busy try means
 		// the policy re-targets the thread for its backup timeout.
 		st := &r.state[q]
-		if (r.group != nil && !r.group.ClaimTurn(q)) || !st.lock.CompareAndSwap(false, true) {
+		if !r.cyc.ClaimTurn(q) || !st.lock.CompareAndSwap(false, true) {
 			r.Stats.BusyTries.Add(1)
-			if r.pubGauges(q) {
+			if r.cyc.Publishes(q) {
 				r.bus.AddBusyTries(q, 1)
 				r.publishOcc(q, r.nanotime())
 				r.bus.BumpPub(q)
 			}
-			tl := r.policy.TL(q)
-			q = r.policy.PickBackupQueue(q, rng)
-			if r.dephase != nil {
-				// A colliding group member re-spreads onto the rotation
-				// clock (no-op for foreign re-targets).
-				tl = r.dephase.Dephase(id, q, tl, true)
-			}
+			var tl float64
+			q, tl = r.cyc.LostRace(id, q, rng)
 			r.cfg.Sleeper.Sleep(seconds(tl))
 			continue
 		}
 		began := r.nanotime()
 		vacation := time.Duration(began - st.lastRelease.Load())
-		if r.pubGauges(q) {
+		if r.cyc.Publishes(q) {
 			// Occupancy samples BEFORE the drain. The cycle below is
 			// work-conserving — it polls until empty — so an end-of-cycle
 			// sample reads the same just-drained phase every time and the
@@ -689,7 +648,7 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 			// overload.
 			r.publishOcc(q, began)
 		}
-		dark := r.faults != nil && r.faults.QueueDark(q)
+		dark := r.cyc.Dark(q)
 		stretch := began // start of the current stretch of unbroken service
 		for !dark {
 			// A dark queue's lock winner skips the drain entirely: the poll
@@ -714,7 +673,7 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 			mbuf.PrefetchBurst(buf[:n])
 			r.Stats.Packets.Add(uint64(n))
 			r.Stats.Bursts.Add(1)
-			if r.pubGauges(q) {
+			if r.cyc.Publishes(q) {
 				r.bus.AddRx(q, uint64(n))
 				// Every stamped packet's retrieval latency goes into the bus
 				// histogram: one monotonic-clock read and a few atomic adds per
@@ -723,53 +682,26 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 				// lease.
 				r.bus.RecordLatencyBurst(q, burstLatencies(lats, mbuf.Nanotime(), buf[:n]))
 			}
-			if r.procs != nil {
-				r.procs[q].ProcessBurst(buf[:n], verdicts[:n])
-				if r.emit != nil {
-					r.emit(q, buf[:n], verdicts[:n])
-				} else {
-					recycle.FreeBurst(buf[:n])
-				}
+			r.procs[q].ProcessBurst(buf[:n], verdicts[:n])
+			if r.emit != nil {
+				r.emit(q, buf[:n], verdicts[:n])
 			} else {
-				r.handler(buf[:n])
+				recycle.FreeBurst(buf[:n])
 			}
 		}
 		ended := r.nanotime()
 		busy := time.Duration(ended - began)
+		busyTotal += busy
 
-		// Hand the cycle to the policy engine: it folds it into the load
-		// estimate (eq. 11) and returns the re-evaluated TS (eq. 13/14).
-		// Only the lock holder observes a queue's cycles, which is the
-		// serialisation ObserveCycle requires.
-		ts := r.policy.ObserveCycle(q, busy.Seconds(), vacation.Seconds())
+		// Hand the cycle to the seam while still holding the lock — only the
+		// lock holder observes a queue's cycles, which is the serialisation
+		// Finish requires — then release.
+		next, ts := r.cyc.Finish(id, q, busy.Seconds(), vacation.Seconds(),
+			busyTotal.Seconds(), time.Duration(ended).Seconds())
 		st.lastRelease.Store(ended)
 		r.Stats.Cycles.Add(1)
 		st.lock.Store(false)
-		if r.bus != nil {
-			busyTotal += busy
-			if r.pubGauges(q) {
-				r.bus.SetRho(q, r.policy.Rho(q))
-				r.bus.SetThreadBusy(id, busyTotal.Seconds())
-				r.bus.BumpPub(q)
-			}
-			// The heartbeat publishes even through a telemetry freeze:
-			// staleness is a property of the queue's gauges, liveness of the
-			// thread — the health layer tells them apart by which one moves.
-			r.bus.SetHeartbeat(id, time.Duration(ended).Seconds())
-		}
-
-		// Shared-queue disciplines keep service groups stable: a member
-		// that served a foreign queue as backup returns home and re-arms
-		// its home queue's member timeout.
-		if r.group != nil {
-			if home := r.group.HomeQueue(id); home != q {
-				q = home
-				ts = r.policy.TS(home)
-			}
-		}
-		if r.dephase != nil {
-			ts = r.dephase.Dephase(id, q, ts, false)
-		}
+		q = next
 		r.cfg.Sleeper.Sleep(seconds(ts))
 	}
 }

@@ -2,6 +2,9 @@ package runtime
 
 import (
 	"context"
+	"fmt"
+	goruntime "runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -405,7 +408,7 @@ func TestRMetronomeLiveEndToEnd(t *testing.T) {
 			}
 		}
 		r := New(bench.queues, handler, Config{M: 4, VBar: 100 * time.Microsecond, Seed: 6, Policy: policy})
-		if r.group == nil {
+		if r.cyc.Group() == nil {
 			t.Fatalf("%s: runner has no GroupPolicy", policy)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -422,7 +425,7 @@ func TestRMetronomeLiveEndToEnd(t *testing.T) {
 		if processed.Load() != uint64(sent) {
 			t.Fatalf("%s: processed %d of %d", policy, processed.Load(), sent)
 		}
-		turns := r.group.Turns(0) + r.group.Turns(1)
+		turns := r.cyc.Group().Turns(0) + r.cyc.Group().Turns(1)
 		if turns == 0 {
 			t.Fatalf("%s: no service turns claimed", policy)
 		}
@@ -803,6 +806,159 @@ func TestNewProcValidation(t *testing.T) {
 	mustPanic("no queues", func() {
 		NewProc(nil, nil, nil, Config{})
 	})
+}
+
+// TestBusSizedForDeployment: a telemetry bus with fewer queue slots than the
+// deployment has queues is refused at construction, by a message naming both
+// counts — not by an index panic from SetCapacity or, for a queue without
+// Cap, from AddTries on a retrieval goroutine.
+func TestBusSizedForDeployment(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bus  *telemetry.Bus
+		ok   bool
+	}{
+		{"equal", telemetry.NewBus(2, 4), true},
+		{"larger", telemetry.NewBus(5, 4), true},
+		{"smaller", telemetry.NewBus(1, 4), false},
+		{"nil bus", nil, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if tc.ok && msg != "<nil>" {
+					t.Fatalf("refused: %s", msg)
+				}
+				if !tc.ok && (!strings.Contains(msg, "1 queue slots") || !strings.Contains(msg, "2 queues")) {
+					t.Fatalf("panic %q does not name both counts", msg)
+				}
+			}()
+			bench := newBench(t, 2)
+			procs := []apps.BurstProcessor{&countProc{}, &countProc{}}
+			r := NewProc(bench.queues, procs, nil, Config{M: 2, Bus: tc.bus})
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan struct{})
+			go func() { defer close(done); r.Run(ctx) }()
+			sent := bench.produce(ctx, 64)
+			for deadline := time.Now().Add(5 * time.Second); r.Stats.Packets.Load() < uint64(sent) && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+			cancel()
+			<-done
+			if got := r.Stats.Packets.Load(); got != uint64(sent) {
+				t.Fatalf("accepted deployment retrieved %d of %d", got, sent)
+			}
+		})
+	}
+}
+
+// TestHandlerRunnerIsNewProc covers New's adapter over NewProc: every burst
+// reaches the handler exactly once and in per-queue order, and the handler —
+// not the runner — owns the buffers.
+func TestHandlerRunnerIsNewProc(t *testing.T) {
+	const nq, perQueue = 2, 1500
+	bench := newBench(t, nq)
+	var (
+		next     [nq]atomic.Uint32 // next sequence number expected per queue
+		disorder atomic.Int32
+		got      atomic.Int32
+		mu       sync.Mutex
+		held     []*mbuf.Mbuf
+	)
+	handler := func(batch []*mbuf.Mbuf) {
+		for _, m := range batch {
+			b := m.Bytes()
+			q, seq := int(b[0]), uint32(b[1])|uint32(b[2])<<8
+			if next[q].Add(1)-1 != seq {
+				disorder.Add(1)
+			}
+		}
+		got.Add(int32(len(batch)))
+		mu.Lock()
+		held = append(held, batch...) // kept, not freed: the batch slice itself is the runner's
+		mu.Unlock()
+	}
+	r := New(bench.queues, handler, Config{M: 3, VBar: 100 * time.Microsecond, Seed: 9})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); r.Run(ctx) }()
+	for seq := 0; seq < perQueue; seq++ {
+		for q := 0; q < nq; q++ {
+			m, err := bench.pool.Get()
+			if err != nil {
+				t.Fatal(err) // 4096 buffers, 3000 leased: the pool cannot run dry
+			}
+			m.SetFrame([]byte{byte(q), byte(seq), byte(seq >> 8)})
+			for !bench.rings[q].Enqueue(m) {
+				time.Sleep(50 * time.Microsecond)
+			}
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); got.Load() < nq*perQueue && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	<-done
+	if got.Load() != nq*perQueue || disorder.Load() != 0 {
+		t.Fatalf("handler saw %d of %d packets, %d out of per-queue order", got.Load(), nq*perQueue, disorder.Load())
+	}
+	if want := bench.pool.Size() - nq*perQueue; bench.pool.Available() != want {
+		t.Fatalf("pool has %d free with the handler holding every buffer, want %d: the runner freed what the handler owns",
+			bench.pool.Available(), want)
+	}
+	mbuf.FreeBurst(held)
+	if bench.pool.Available() != bench.pool.Size() {
+		t.Fatalf("pool leak after the handler's Free: %d/%d", bench.pool.Available(), bench.pool.Size())
+	}
+}
+
+func TestNilHandlerPanics(t *testing.T) {
+	defer func() {
+		if msg := recover(); msg != "runtime: nil handler" {
+			t.Fatalf("panic %v, want \"runtime: nil handler\"", msg)
+		}
+	}()
+	New(newBench(t, 1).queues, nil, Config{})
+}
+
+// TestHandlerPathAllocatesNothingPerBurst: the adapter is a no-op processor
+// and a closure built once in New, so the Handler path keeps the processor
+// path's zero allocations per burst.
+func TestHandlerPathAllocatesNothingPerBurst(t *testing.T) {
+	bench := newBench(t, 1)
+	var seen atomic.Int64
+	r := New(bench.queues, func(batch []*mbuf.Mbuf) {
+		seen.Add(int64(len(batch)))
+		mbuf.FreeBurst(batch)
+	}, Config{M: 1, VBar: 50 * time.Microsecond, Seed: 4})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); r.Run(ctx) }()
+	frame := []byte{0, 0}
+	var sent int64
+	round := func() {
+		for i := 0; i < 4*32; i++ {
+			m, err := bench.pool.Get()
+			if err != nil {
+				panic("a full pool refused one of 128 buffers")
+			}
+			m.SetFrame(frame)
+			if !bench.rings[0].Enqueue(m) {
+				panic("a drained 1024-slot ring refused one of 128 packets")
+			}
+			sent++
+		}
+		for seen.Load() < sent {
+			goruntime.Gosched()
+		}
+	}
+	round() // warm-up: goroutine stacks, the sleeper's timer
+	allocs := testing.AllocsPerRun(20, round)
+	cancel()
+	<-done
+	if allocs != 0 {
+		t.Fatalf("handler path allocates %.1f per four bursts, want 0", allocs)
+	}
 }
 
 func TestBusPublishesOccAvgLive(t *testing.T) {

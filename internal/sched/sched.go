@@ -9,6 +9,13 @@
 // available to the simulator, the live runtime, every experiment, and the
 // -policy flag of the CLIs.
 //
+// The substrates do not talk to a Policy directly: each builds one Cycle
+// (NewCycle), which owns the policy, its optional extensions, the fault
+// injector and the telemetry bus, and is the decision half of the paper's
+// Listing 2 written once — Gate before contending, LostRace after a failed
+// trylock, Finish when the drain is over. A substrate supplies the clock,
+// the lock and the drain.
+//
 // Policies work in plain float64 seconds; the live runtime converts to
 // time.Duration at its edge. All Policy methods must be safe for the
 // concurrent access pattern of the live runtime: many readers of TS/Rho at
@@ -105,15 +112,11 @@ type Policy interface {
 
 // GroupPolicy is an optional Policy extension for shared-queue disciplines
 // that bind threads into stable per-queue service groups and arbitrate
-// service turns with an explicit claim. Both execution substrates probe for
-// it with a type assertion: when present, a thread that finishes a cycle on
-// a foreign queue returns to its home queue, and the wake path consults
-// ClaimTurn. In the live runtime the claim runs *before* the queue trylock
-// as a cheap admission filter (a failed CAS proves a sibling claimed a
-// turn concurrently, so the thread goes straight to the backup path without
-// bouncing the queue's lock cache line); in the sequential sim twin the
-// claim is taken after the lock check and can never fail, making Turns(q)
-// an exact count of the service turns queue q has begun.
+// service turns with an explicit claim. NewCycle probes for it with a type
+// assertion: when present, a thread that finishes a cycle on a foreign
+// queue returns to its home queue (Cycle.Finish), and the wake path claims
+// a turn through Cycle.ClaimTurn, which also states where each substrate
+// places the claim relative to the queue lock and what that buys it.
 type GroupPolicy interface {
 	// HomeQueue returns thread id's home queue.
 	HomeQueue(thread int) int
@@ -248,11 +251,11 @@ func PlacementEqual(a, b []int) bool {
 }
 
 // Dephaser is an optional Policy extension for disciplines that stagger a
-// member's next wake within its service group. Both substrates pass every
-// home-queue sleep through Dephase when the policy implements it — the
-// release-path sleep after a completed cycle (backup false) and the
-// backoff after a lost race (backup true, with a service in progress that
-// the adjusted sleep should ride out). A policy without an opinion
+// member's next wake within its service group. The Cycle passes every
+// sleep through Dephase when the policy implements it — the release-path
+// sleep after a completed cycle (Finish, backup false) and the backoff
+// after a lost race (LostRace, backup true, with a service in progress
+// that the adjusted sleep should ride out). A policy without an opinion
 // returns ts unchanged.
 type Dephaser interface {
 	// Dephase returns the possibly adjusted sleep for thread's next wake
