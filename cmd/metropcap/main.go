@@ -15,9 +15,9 @@
 // burst-native application path (runtime.NewProc straight into per-queue
 // FloWatcher shards — no per-packet handler shim), with a telemetry bus
 // attached. The producer charges every ring-full or pool-empty frame to
-// bus.AddDrops, the live counterpart of the NIC's imissed counter, so an
-// attached elastic controller's loss override fires on real backpressure;
-// -elastic attaches that controller with the health layer on.
+// the bus's Drops counter, the live counterpart of the NIC's imissed
+// counter, so an attached elastic controller's loss override fires on real
+// backpressure; -elastic attaches that controller with the health layer on.
 //
 // The replay is observable while it runs. -metrics-addr serves the
 // telemetry bus as Prometheus text exposition at /metrics (scrape it, or
@@ -196,7 +196,7 @@ func runReplay(records []pcap.Record, nq, m, times int, speedup float64, elas bo
 	budget := 2 * m
 	bus := telemetry.NewBus(nq, budget)
 	for q := 0; q < nq; q++ {
-		bus.SetCapacity(q, ringCap)
+		bus.Set(telemetry.Capacity, q, ringCap)
 	}
 
 	// The flight recorder rides every replay: decisions and placement swaps
@@ -266,9 +266,9 @@ func runReplay(records []pcap.Record, nq, m, times int, speedup float64, elas bo
 	// one EnqueueBurst when a burst fills (or before any pacing sleep, so
 	// batching never delays a paced frame). Frames a ring cannot take are
 	// bulk-returned to the cache as one rejected span and charged to the
-	// bus in one AddDrops per burst — the live imissed counter the
-	// controller's loss override consumes, accounted at burst granularity
-	// exactly like the free path.
+	// bus's Drops counter in one Add per burst — the live imissed counter
+	// the controller's loss override consumes, accounted at burst
+	// granularity exactly like the free path.
 	const burst = 32
 	cache := pool.NewCache()
 	pending := make([][]*mbuf.Mbuf, nq)
@@ -285,7 +285,7 @@ func runReplay(records []pcap.Record, nq, m, times int, speedup float64, elas bo
 		sent += n
 		if rejected := len(p) - n; rejected > 0 {
 			cache.PutBurst(p[n:])
-			bus.AddDrops(q, uint64(rejected))
+			bus.Add(telemetry.Drops, q, uint64(rejected))
 			lost += rejected
 		}
 		pending[q] = p[:0]
@@ -306,7 +306,7 @@ func runReplay(records []pcap.Record, nq, m, times int, speedup float64, elas bo
 		}
 		mb, err := lease(cache)
 		if err != nil {
-			bus.AddDrops(q, 1)
+			bus.Add(telemetry.Drops, q, 1)
 			lost++
 			return
 		}
@@ -333,7 +333,7 @@ func runReplay(records []pcap.Record, nq, m, times int, speedup float64, elas bo
 	var hist stats.LogHistogram
 	for q := 0; q < nq; q++ {
 		fmt.Printf("  queue %d: rx=%-7d drops=%-6d rho=%.3f TS=%v",
-			q, bus.Rx(q), bus.Drops(q), r.Rho(q), r.TS(q).Round(10*time.Microsecond))
+			q, bus.Load(telemetry.Rx, q), bus.Load(telemetry.Drops, q), r.Rho(q), r.TS(q).Round(10*time.Microsecond))
 		if bus.SampleLatency(q, &hist); hist.N() > 0 {
 			fmt.Printf(" p99=%v", time.Duration(hist.Quantile(0.99)).Round(time.Microsecond))
 		}
@@ -372,8 +372,8 @@ func runReplay(records []pcap.Record, nq, m, times int, speedup float64, elas bo
 // once more before it reports exhaustion. A first miss is often not
 // shortage: free buffers a consumer cache is spilling at that moment are
 // not in the shared ring until the spill publishes, and the caller charges
-// a failed lease to bus.AddDrops, which steers the controller's loss
-// override.
+// a failed lease to the bus's Drops counter, which steers the controller's
+// loss override.
 func lease(c *mbuf.Cache) (*mbuf.Mbuf, error) {
 	m, err := c.Get()
 	if err != nil {

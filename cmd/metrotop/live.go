@@ -12,11 +12,12 @@ import (
 	"strings"
 
 	"metronome/internal/obsv"
+	"metronome/internal/telemetry"
 )
 
-// qkey builds the canonical per-queue series key ParseExposition emits.
-func qkey(ns, name string, q int) string {
-	return fmt.Sprintf(`%s_%s{queue="%d"}`, ns, name, q)
+// qkey builds the canonical key ParseExposition emits for queue q's series s.
+func qkey(ns string, s telemetry.Series, q int) string {
+	return fmt.Sprintf(`%s_%s{queue="%d"}`, ns, s.Name, q)
 }
 
 // renderScrape parses one exposition and renders the operator frame.
@@ -51,23 +52,23 @@ func renderScrape(body io.Reader, ns, clock string) (string, error) {
 	// Per-queue rows while the series exist.
 	b.WriteString("\n")
 	for q := 0; ; q++ {
-		occ, ok := s.Value(qkey(ns, "queue_occupancy", q))
+		occ, ok := s.Value(qkey(ns, telemetry.Gauges[telemetry.Occupancy], q))
 		if !ok {
 			if q == 0 {
 				b.WriteString("  (no per-queue series in this scrape)\n")
 			}
 			break
 		}
-		capacity, _ := s.Value(qkey(ns, "queue_capacity", q))
-		rate, _ := s.Value(qkey(ns, "queue_arrival_rate_pps", q))
-		drops, _ := s.Value(qkey(ns, "queue_drops_total", q))
+		capacity, _ := s.Value(qkey(ns, telemetry.Gauges[telemetry.Capacity], q))
+		rate, _ := s.Value(qkey(ns, telemetry.Gauges[telemetry.ArrivalRate], q))
+		drops, _ := s.Value(qkey(ns, telemetry.Counters[telemetry.Drops], q))
 		frac := 0.0
 		if capacity > 0 {
 			frac = occ / capacity
 		}
 		fmt.Fprintf(&b, "  q%-2d [%s] %5.1f%%  %10s  drops %.0f",
 			q, bar(frac, 24), frac*100, fmtRate(rate), drops)
-		if h := s.Histogram(qkey(ns, "queue_latency_seconds", q)); h != nil && h.Count() > 0 {
+		if h := s.Histogram(qkey(ns, telemetry.Latency, q)); h != nil && h.Count() > 0 {
 			fmt.Fprintf(&b, "  p99 %s  p99.9 %s", fmtNs(h.Quantile(0.99)), fmtNs(h.Quantile(0.999)))
 		}
 		b.WriteString("\n")

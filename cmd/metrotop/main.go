@@ -21,6 +21,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -88,9 +89,10 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// bar renders frac of width as a block-character gauge.
+// bar renders frac of width as a block-character gauge. A fraction that is
+// not finite (a NaN gauge, an Inf occupancy or Inf over Inf) draws empty.
 func bar(frac float64, width int) string {
-	if frac < 0 {
+	if frac < 0 || math.IsNaN(frac) || math.IsInf(frac, 0) {
 		frac = 0
 	}
 	if frac > 1 {

@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bytes"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -15,11 +17,11 @@ import (
 // the CI metrics-endpoint smoke test.
 func TestLiveFrameFromMetricsEndpoint(t *testing.T) {
 	bus := telemetry.NewBus(2, 4)
-	bus.SetOccupancy(0, 1024)
-	bus.SetCapacity(0, 4096)
-	bus.SetArrivalRate(0, 2.5e6)
-	bus.SetDrops(0, 7)
-	bus.SetCapacity(1, 4096)
+	bus.Set(telemetry.Occupancy, 0, 1024)
+	bus.Set(telemetry.Capacity, 0, 4096)
+	bus.Set(telemetry.ArrivalRate, 0, 2.5e6)
+	bus.Store(telemetry.Drops, 0, 7)
+	bus.Set(telemetry.Capacity, 1, 4096)
 	for i := 0; i < 100; i++ {
 		bus.RecordLatency(0, uint64(1000*(i+1)))
 	}
@@ -69,4 +71,61 @@ func TestTracePostMortem(t *testing.T) {
 			t.Errorf("post-mortem missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// The frame of the observability plane's fixture scrape (every table row
+// populated, a decision on the recorder) is unchanged.
+func TestFrameGolden(t *testing.T) {
+	body, err := os.ReadFile("../../internal/obsv/testdata/exposition.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile("testdata/frame.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := renderScrape(bytes.NewReader(body), "metronome", "golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame != string(want) {
+		t.Errorf("frame drifted from testdata/frame.golden:\n%s", frame)
+	}
+}
+
+// Gauges that are not finite, or a zero capacity, render an empty bar
+// instead of killing the view.
+func TestRenderScrapeNonFinite(t *testing.T) {
+	for _, c := range []struct{ occ, capacity string }{
+		{"NaN", "4096"},
+		{"+Inf", "4096"},
+		{"-Inf", "4096"},
+		{"+Inf", "+Inf"},
+		{"17", "0"},
+	} {
+		body := `metronome_queue_occupancy{queue="0"} ` + c.occ + "\n" +
+			`metronome_queue_capacity{queue="0"} ` + c.capacity + "\n"
+		frame, err := renderScrape(strings.NewReader(body), "metronome", "t")
+		if err != nil {
+			t.Fatalf("occ %s / cap %s: %v", c.occ, c.capacity, err)
+		}
+		if !strings.Contains(frame, "["+strings.Repeat("░", 24)+"]") {
+			t.Errorf("occ %s / cap %s: bar not empty:\n%s", c.occ, c.capacity, frame)
+		}
+	}
+}
+
+// FuzzRenderScrape: rendering never panics on any body.
+func FuzzRenderScrape(f *testing.F) {
+	body, err := os.ReadFile("../../internal/obsv/testdata/exposition.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(body))
+	f.Add(`metronome_queue_occupancy{queue="0"} NaN` + "\n" + `metronome_queue_capacity{queue="0"} 4096`)
+	f.Add(`metronome_queue_occupancy{queue="0"} +Inf` + "\n" + `metronome_queue_capacity{queue="0"} +Inf`)
+	f.Add(`metronome_safe_mode 1` + "\n" + `metronome_events_total{kind="exile"} 2`)
+	f.Fuzz(func(t *testing.T, body string) {
+		_, _ = renderScrape(strings.NewReader(body), "metronome", "t")
+	})
 }

@@ -296,7 +296,7 @@ func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 	r.placement = cyc.Placement(r.active)
 	if r.bus != nil {
 		for q, queue := range queues {
-			r.bus.SetCapacity(q, float64(queue.Opt.Cap))
+			r.bus.Set(telemetry.Capacity, q, float64(queue.Opt.Cap))
 			// Publish every tagged packet's exact fluid latency into the
 			// bus histogram (seconds → integer ns). A telemetry freeze
 			// (fault plane) silences the queue's histogram like its
@@ -647,10 +647,10 @@ func (r *Runtime) wakeup(th *thread) {
 		if r.cyc.Publishes(q) {
 			// The queue is mid-service, so Occupancy reads the fluid
 			// model's last slice boundary without advancing arrivals.
-			r.bus.SetOccupancy(q, r.Queues[q].Occupancy(now))
-			r.bus.SetTries(q, uint64(r.TriesQ[q]))
-			r.bus.SetBusyTries(q, uint64(r.BusyTriesQ[q]))
-			r.bus.BumpPub(q)
+			r.bus.Set(telemetry.Occupancy, q, r.Queues[q].Occupancy(now))
+			r.bus.Store(telemetry.Tries, q, uint64(r.TriesQ[q]))
+			r.bus.Store(telemetry.BusyTries, q, uint64(r.BusyTriesQ[q]))
+			r.bus.Add(telemetry.PubSeq, q, 1)
 		}
 		if r.Cfg.Tracer != nil {
 			r.Cfg.Tracer.Wake(now, th.id, q, false)
@@ -684,9 +684,9 @@ func (r *Runtime) wakeup(th *thread) {
 		// N_V is the wake-time occupancy: the signal the elastic
 		// controller holds at target and the work-stealing backup ranking
 		// reacts to within one vacation.
-		r.bus.SetOccupancy(q, nv)
-		r.bus.SetTries(q, uint64(r.TriesQ[q]))
-		r.bus.BumpPub(q)
+		r.bus.Set(telemetry.Occupancy, q, nv)
+		r.bus.Store(telemetry.Tries, q, uint64(r.TriesQ[q]))
+		r.bus.Add(telemetry.PubSeq, q, 1)
 	}
 	if nv == 0 {
 		// Empty poll: pay one rx_burst, release, stay primary.
@@ -753,17 +753,17 @@ func (r *Runtime) finishCycle(th *thread) {
 		// publish sequence, and that bump has to stay the cycle's last
 		// store.
 		queue := r.Queues[q]
-		r.bus.SetOccupancy(q, 0) // drained by construction of EndService
+		r.bus.Set(telemetry.Occupancy, q, 0) // drained by construction of EndService
 		if dt := now - r.occIntAt[q]; dt > 0 {
 			// EndService just accrued the fluid model's occupancy integral
 			// up to now, so the cycle-window average is exact here.
 			integ := queue.OccIntegral()
-			r.bus.SetOccAvg(q, (integ-r.occIntLast[q])/dt)
+			r.bus.Set(telemetry.OccAvg, q, (integ-r.occIntLast[q])/dt)
 			r.occIntLast[q] = integ
 			r.occIntAt[q] = now
 		}
-		r.bus.SetDrops(q, uint64(queue.Drops))
-		r.bus.SetRx(q, uint64(queue.RxPackets))
+		r.bus.Store(telemetry.Drops, q, uint64(queue.Drops))
+		r.bus.Store(telemetry.Rx, q, uint64(queue.RxPackets))
 	}
 	next, ts := r.cyc.Finish(th.id, q, busy, th.vacation, r.Acct.Busy(th.id), now)
 	if th.retired {

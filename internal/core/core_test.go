@@ -549,7 +549,7 @@ func TestBusPublishesTimeAveragedOccupancy(t *testing.T) {
 	r := New(eng, []*nic.Queue{q}, cfg)
 	r.Start()
 	eng.RunUntil(0.01)
-	avg := cfg.Bus.OccAvg(0)
+	avg := cfg.Bus.Get(telemetry.OccAvg, 0)
 	if avg <= 0 {
 		t.Fatalf("no time-averaged occupancy published: %v", avg)
 	}

@@ -101,13 +101,13 @@ func TestFrozenTelemetryStopsPubSeqNotHeartbeat(t *testing.T) {
 	eng, r, _ := faultRig(t, sched.NameAdaptive, evs, 14)
 	bus := r.Cfg.Bus
 	var pubAtFreeze, hbMoved uint64
-	eng.At(0.011, "sample-freeze", func() { pubAtFreeze = bus.PubSeq(0) })
+	eng.At(0.011, "sample-freeze", func() { pubAtFreeze = bus.Load(telemetry.PubSeq, 0) })
 	eng.At(0.04, "sample-late", func() {
-		if bus.PubSeq(0) != pubAtFreeze {
-			t.Errorf("frozen queue kept publishing: seq %d -> %d", pubAtFreeze, bus.PubSeq(0))
+		if bus.Load(telemetry.PubSeq, 0) != pubAtFreeze {
+			t.Errorf("frozen queue kept publishing: seq %d -> %d", pubAtFreeze, bus.Load(telemetry.PubSeq, 0))
 		}
 		for i := 0; i < r.ThreadCount(); i++ {
-			if bus.Heartbeat(i) > 0.011 {
+			if bus.Thread(telemetry.Heartbeat, i) > 0.011 {
 				hbMoved++
 			}
 		}
@@ -119,8 +119,8 @@ func TestFrozenTelemetryStopsPubSeqNotHeartbeat(t *testing.T) {
 	if hbMoved == 0 {
 		t.Fatal("no heartbeat advanced past the freeze — liveness must survive a telemetry brownout")
 	}
-	if bus.PubSeq(1) <= pubAtFreeze/4 {
-		t.Fatalf("healthy queue 1 publish rate collapsed: %d", bus.PubSeq(1))
+	if bus.Load(telemetry.PubSeq, 1) <= pubAtFreeze/4 {
+		t.Fatalf("healthy queue 1 publish rate collapsed: %d", bus.Load(telemetry.PubSeq, 1))
 	}
 }
 

@@ -167,8 +167,8 @@ func TestPlacementControllerDeterministic(t *testing.T) {
 		// Drive placement plans from occupancy like the controller does,
 		// through ordinary engine events.
 		eng.Ticker(1e-3, "place-tick", func() {
-			occ0 := cfg.Bus.Occupancy(0)
-			occ1 := cfg.Bus.Occupancy(1)
+			occ0 := cfg.Bus.Get(telemetry.Occupancy, 0)
+			occ1 := cfg.Bus.Get(telemetry.Occupancy, 1)
 			switch {
 			case occ0 > 2*occ1+1:
 				r.ApplyPlacement([]int{3, 1})

@@ -161,22 +161,22 @@ func TestBusPublishesDuringRun(t *testing.T) {
 	r, _ := resizeRig(t, sched.NameRMetronome, nil, 0.03, 17)
 	bus := r.Cfg.Bus
 	for q := 0; q < 2; q++ {
-		if bus.Tries(q) == 0 {
+		if bus.Load(telemetry.Tries, q) == 0 {
 			t.Errorf("queue %d: no tries published", q)
 		}
-		if bus.Rx(q) == 0 {
+		if bus.Load(telemetry.Rx, q) == 0 {
 			t.Errorf("queue %d: no rx published", q)
 		}
-		if bus.Rho(q) <= 0 {
+		if bus.Get(telemetry.Rho, q) <= 0 {
 			t.Errorf("queue %d: rho never published", q)
 		}
-		if bus.Capacity(q) != 4096 {
-			t.Errorf("queue %d: capacity = %v", q, bus.Capacity(q))
+		if bus.Get(telemetry.Capacity, q) != 4096 {
+			t.Errorf("queue %d: capacity = %v", q, bus.Get(telemetry.Capacity, q))
 		}
 	}
 	var busy float64
 	for i := 0; i < r.ThreadCount(); i++ {
-		busy += bus.ThreadBusy(i)
+		busy += bus.Thread(telemetry.BusySeconds, i)
 	}
 	if busy <= 0 {
 		t.Error("no per-thread duty published")

@@ -482,12 +482,12 @@ func (c *Controller) tick(now float64) Decision {
 		c.lastTick, c.statsFrom = now, now
 		// Counter baselines: the first tick only calibrates deltas.
 		c.bus.Sample(&c.snap)
-		copy(c.prevDrops, c.snap.Drops)
-		copy(c.prevRx, c.snap.Rx)
+		copy(c.prevDrops, c.snap.Counter[telemetry.Drops])
+		copy(c.prevRx, c.snap.Counter[telemetry.Rx])
 		for q := 0; q < c.bus.Queues(); q++ {
 			c.prevOccF[q] = c.occFraction(q)
 		}
-		c.prevBusySum, c.prevTriesSum = sumF(c.snap.ThreadBusy), sumU(c.snap.Tries)
+		c.prevBusySum, c.prevTriesSum = sumF(c.snap.Thread[telemetry.BusySeconds]), sumU(c.snap.Counter[telemetry.Tries])
 		c.energy.Rebase(now, c.cfg.Power.TeamWatts(cur, 0, 0, c.cfg.Budget-cur))
 		if c.health != nil {
 			c.health.seed(&c.snap, now)
@@ -537,7 +537,7 @@ func (c *Controller) tick(now float64) Decision {
 			// observability signal behind the fig-placement panels.
 			s := (f - c.prevOccF[q]) / dt
 			c.slopes[q] += c.cfg.SlopeAlpha * (s - c.slopes[q])
-			c.bus.SetOccSlope(q, c.slopes[q])
+			c.bus.Set(telemetry.OccSlope, q, c.slopes[q])
 		}
 		if c.slopes[q] > slope {
 			slope = c.slopes[q]
@@ -546,7 +546,7 @@ func (c *Controller) tick(now float64) Decision {
 	}
 	var lossDelta uint64
 	for q := 0; q < c.bus.Queues(); q++ {
-		if drops := c.snap.Drops[q]; drops >= c.prevDrops[q] {
+		if drops := c.snap.Counter[telemetry.Drops][q]; drops >= c.prevDrops[q] {
 			delta := drops - c.prevDrops[q]
 			if c.health != nil && delta > 0 && c.occEW[q] < 0.01 {
 				// Blackout signature: drops rising while the ring reads
@@ -563,20 +563,20 @@ func (c *Controller) tick(now float64) Decision {
 			// Republish the measured per-queue arrival rate (Rx delta over
 			// the control window) as a gauge: the signal dashboards and
 			// feedforward consumers read without re-deriving counter deltas.
-			if rx := c.snap.Rx[q]; rx >= c.prevRx[q] {
-				c.bus.SetArrivalRate(q, float64(rx-c.prevRx[q])/dt)
+			if rx := c.snap.Counter[telemetry.Rx][q]; rx >= c.prevRx[q] {
+				c.bus.Set(telemetry.ArrivalRate, q, float64(rx-c.prevRx[q])/dt)
 			}
 		}
 		// A counter that moved backwards was reset (warm-up window
 		// alignment); resync silently.
-		c.prevDrops[q] = c.snap.Drops[q]
-		c.prevRx[q] = c.snap.Rx[q]
+		c.prevDrops[q] = c.snap.Counter[telemetry.Drops][q]
+		c.prevRx[q] = c.snap.Counter[telemetry.Rx][q]
 	}
 
 	// Measured team duty and sleep dwell over the window — the joules
 	// objective's and the watts gauge's inputs. Deltas resync silently
 	// after a warm-up counter reset, like the drop and rx counters above.
-	busySum, triesSum := sumF(c.snap.ThreadBusy), sumU(c.snap.Tries)
+	busySum, triesSum := sumF(c.snap.Thread[telemetry.BusySeconds]), sumU(c.snap.Counter[telemetry.Tries])
 	busyDelta := busySum - c.prevBusySum
 	if busyDelta < 0 {
 		busyDelta = 0
@@ -726,14 +726,14 @@ func (c *Controller) recordTick(d *Decision) {
 // capacity (zero when the capacity was never published). With AvgOcc set it
 // reads the substrate's time-averaged gauge instead of the point sample.
 func (c *Controller) occFraction(q int) float64 {
-	cp := c.snap.Cap[q]
+	cp := c.snap.Gauge[telemetry.Capacity][q]
 	if cp <= 0 {
 		return 0
 	}
 	if c.cfg.AvgOcc {
-		return c.snap.OccAvg[q] / cp
+		return c.snap.Gauge[telemetry.OccAvg][q] / cp
 	}
-	return c.snap.Occ[q] / cp
+	return c.snap.Gauge[telemetry.Occupancy][q] / cp
 }
 
 // actuate applies a new team total through the placement plane when the
@@ -815,7 +815,7 @@ func (c *Controller) apportion(m int) []int {
 // whole service cycles and anchors the ordering — like the work-stealing
 // backup ranking, a drained-but-loaded queue outranks an idle one.
 func (c *Controller) weight(q int) float64 {
-	w := c.occEW[q] + 0.05*c.snap.Rho[q]
+	w := c.occEW[q] + 0.05*c.snap.Gauge[telemetry.Rho][q]
 	if w < 0 {
 		return 0
 	}

@@ -25,8 +25,8 @@ func (f *fakeTeam) SetTeamSize(m int) int {
 
 func newRig(minThreads, budget int) (*telemetry.Bus, *fakeTeam, *Controller) {
 	bus := telemetry.NewBus(2, budget)
-	bus.SetCapacity(0, 4096)
-	bus.SetCapacity(1, 4096)
+	bus.Set(telemetry.Capacity, 0, 4096)
+	bus.Set(telemetry.Capacity, 1, 4096)
 	team := &fakeTeam{size: minThreads, floor: 2}
 	cfg := DefaultConfig(minThreads, budget)
 	return bus, team, New(bus, team, cfg)
@@ -37,7 +37,7 @@ func TestGrowsOnOccupancySpike(t *testing.T) {
 	c.Tick(0) // calibration tick
 	// Flash crowd: the worst queue's wake occupancy spikes to 40% of the
 	// ring against a 10% target.
-	bus.SetOccupancy(1, 0.4*4096)
+	bus.Set(telemetry.Occupancy, 1, 0.4*4096)
 	d := c.Tick(0.001)
 	if d.Applied <= 2 {
 		t.Fatalf("no growth on 4x occupancy target: %+v", d)
@@ -51,13 +51,13 @@ func TestLossDrivesIntegralGrowth(t *testing.T) {
 	bus, _, c := newRig(2, 8)
 	c.Tick(0)
 	// Occupancy at target (no proportional pressure) but persistent loss.
-	bus.SetOccupancy(0, 0.10*4096)
+	bus.Set(telemetry.Occupancy, 0, 0.10*4096)
 	drops := uint64(0)
 	now := 0.0
 	grewTo := 0
 	for i := 0; i < 20; i++ {
 		drops += 500
-		bus.SetDrops(0, drops)
+		bus.Store(telemetry.Drops, 0, drops)
 		now += 0.001
 		d := c.Tick(now)
 		grewTo = d.Applied
@@ -70,7 +70,7 @@ func TestLossDrivesIntegralGrowth(t *testing.T) {
 func TestShrinksAfterTroughWithCooldown(t *testing.T) {
 	bus, team, c := newRig(2, 8)
 	c.Tick(0)
-	bus.SetOccupancy(0, 0.5*4096)
+	bus.Set(telemetry.Occupancy, 0, 0.5*4096)
 	now := 0.001
 	c.Tick(now)
 	peak := team.size
@@ -79,7 +79,7 @@ func TestShrinksAfterTroughWithCooldown(t *testing.T) {
 	}
 	// Trough: occupancy collapses. The integral must unwind and the team
 	// shrink back — but never faster than one shrink per cooldown.
-	bus.SetOccupancy(0, 0)
+	bus.Set(telemetry.Occupancy, 0, 0)
 	cd := c.Config().Cooldown
 	lastShrinkAt := -cd
 	size := peak
@@ -102,8 +102,8 @@ func TestShrinksAfterTroughWithCooldown(t *testing.T) {
 func TestBudgetIsAHardCap(t *testing.T) {
 	bus, team, c := newRig(2, 4)
 	c.Tick(0)
-	bus.SetOccupancy(0, 4096) // ring full
-	bus.SetDrops(0, 1e6)
+	bus.Set(telemetry.Occupancy, 0, 4096) // ring full
+	bus.Store(telemetry.Drops, 0, 1e6)
 	now := 0.0
 	for i := 0; i < 50; i++ {
 		now += 0.001
@@ -120,8 +120,8 @@ func TestHysteresisHoldsInDeadband(t *testing.T) {
 	bus, team, c := newRig(3, 8)
 	c.Tick(0)
 	// Occupancy exactly at target: zero error, the team must not move.
-	bus.SetOccupancy(0, 0.10*4096)
-	bus.SetOccupancy(1, 0.10*4096)
+	bus.Set(telemetry.Occupancy, 0, 0.10*4096)
+	bus.Set(telemetry.Occupancy, 1, 0.10*4096)
 	now := 0.0
 	for i := 0; i < 200; i++ {
 		now += 0.001
@@ -135,11 +135,11 @@ func TestHysteresisHoldsInDeadband(t *testing.T) {
 func TestCounterResetResyncsSilently(t *testing.T) {
 	bus, _, c := newRig(2, 8)
 	c.Tick(0)
-	bus.SetDrops(0, 1000)
+	bus.Store(telemetry.Drops, 0, 1000)
 	c.Tick(0.001)
 	// Warm-up alignment resets the substrate counters; the next delta must
 	// not underflow into a huge unsigned loss.
-	bus.SetDrops(0, 0)
+	bus.Store(telemetry.Drops, 0, 0)
 	d := c.Tick(0.002)
 	if d.LossDelta != 0 {
 		t.Fatalf("loss delta after counter reset = %d, want 0", d.LossDelta)
@@ -181,8 +181,8 @@ func (f *fakeActuator) ApplyPlacement(perQueue []int) int {
 
 func newPlacementRig(minThreads, budget int) (*telemetry.Bus, *fakeActuator, *Controller) {
 	bus := telemetry.NewBus(2, budget)
-	bus.SetCapacity(0, 4096)
-	bus.SetCapacity(1, 4096)
+	bus.Set(telemetry.Capacity, 0, 4096)
+	bus.Set(telemetry.Capacity, 1, 4096)
 	team := &fakeActuator{fakeTeam: fakeTeam{size: minThreads, floor: 2}}
 	cfg := DefaultConfig(minThreads, budget)
 	cfg.Placement = true
@@ -198,8 +198,8 @@ func TestPlacementApportionsByOccupancyShare(t *testing.T) {
 	now := 0.0
 	var d Decision
 	for i := 0; i < 40; i++ {
-		bus.SetOccupancy(1, 0.4*4096)
-		bus.SetRho(1, 0.9)
+		bus.Set(telemetry.Occupancy, 1, 0.4*4096)
+		bus.Set(telemetry.Rho, 1, 0.9)
 		now += 0.001
 		d = c.Tick(now)
 	}
@@ -225,10 +225,10 @@ func TestPlacementRebalancesAtPinnedTotal(t *testing.T) {
 	now := 0.0
 	hot := func(q int, ticks int) {
 		for i := 0; i < ticks; i++ {
-			bus.SetOccupancy(q, 0.3*4096)
-			bus.SetOccupancy(1-q, 0)
-			bus.SetRho(q, 0.9)
-			bus.SetRho(1-q, 0.05)
+			bus.Set(telemetry.Occupancy, q, 0.3*4096)
+			bus.Set(telemetry.Occupancy, 1-q, 0)
+			bus.Set(telemetry.Rho, q, 0.9)
+			bus.Set(telemetry.Rho, 1-q, 0.05)
 			now += 0.001
 			c.Tick(now)
 		}
@@ -264,8 +264,8 @@ func TestPlacementRebalancesAtPinnedTotal(t *testing.T) {
 // balanced plan.
 func TestControllerCorrectsPreexistingPlacement(t *testing.T) {
 	bus := telemetry.NewBus(2, 8)
-	bus.SetCapacity(0, 4096)
-	bus.SetCapacity(1, 4096)
+	bus.Set(telemetry.Capacity, 0, 4096)
+	bus.Set(telemetry.Capacity, 1, 4096)
 	team := &fakeActuator{fakeTeam: fakeTeam{size: 6, floor: 2}}
 	team.ApplyPlacement([]int{5, 1}) // hand-placed skew
 	before := team.placements
@@ -296,8 +296,8 @@ func TestRebalanceCooldown(t *testing.T) {
 	c.Tick(0)
 	now := 0.0
 	step := func(q int) {
-		bus.SetOccupancy(q, 0.3*4096)
-		bus.SetOccupancy(1-q, 0)
+		bus.Set(telemetry.Occupancy, q, 0.3*4096)
+		bus.Set(telemetry.Occupancy, 1-q, 0)
 		now += 0.001
 		c.Tick(now)
 	}
@@ -319,8 +319,8 @@ func TestRebalanceCooldown(t *testing.T) {
 func TestFeedforwardPreProvisionsOnRisingEdge(t *testing.T) {
 	mk := func(gain float64) (*telemetry.Bus, *fakeTeam, *Controller) {
 		bus := telemetry.NewBus(2, 8)
-		bus.SetCapacity(0, 4096)
-		bus.SetCapacity(1, 4096)
+		bus.Set(telemetry.Capacity, 0, 4096)
+		bus.Set(telemetry.Capacity, 1, 4096)
 		team := &fakeTeam{size: 2, floor: 2}
 		cfg := DefaultConfig(2, 8)
 		cfg.SlopeGain = gain
@@ -334,7 +334,7 @@ func TestFeedforwardPreProvisionsOnRisingEdge(t *testing.T) {
 			// crosses the 10% target at tick 10, but the plain PI's
 			// deadband only clears around 17.5% while the slope term sees
 			// the climb from the first ticks.
-			bus.SetOccupancy(0, float64(i)*0.01*4096)
+			bus.Set(telemetry.Occupancy, 0, float64(i)*0.01*4096)
 			now += 0.001
 			d := c.Tick(now)
 			if d.Slope > slopeSeen {
@@ -367,14 +367,14 @@ func TestFeedforwardPreProvisionsOnRisingEdge(t *testing.T) {
 func TestSlopeGaugesPublished(t *testing.T) {
 	bus, _, c := newRig(2, 8)
 	c.Tick(0)
-	bus.SetOccupancy(0, 0.2*4096)
+	bus.Set(telemetry.Occupancy, 0, 0.2*4096)
 	c.Tick(0.001)
-	if bus.OccSlope(0) <= 0 {
-		t.Fatalf("occupancy slope gauge = %v, want > 0 after a rise", bus.OccSlope(0))
+	if bus.Get(telemetry.OccSlope, 0) <= 0 {
+		t.Fatalf("occupancy slope gauge = %v, want > 0 after a rise", bus.Get(telemetry.OccSlope, 0))
 	}
 	var snap telemetry.Snapshot
 	bus.Sample(&snap)
-	if snap.OccSlope[0] != bus.OccSlope(0) {
+	if snap.Gauge[telemetry.OccSlope][0] != bus.Get(telemetry.OccSlope, 0) {
 		t.Fatal("snapshot does not carry the slope gauge")
 	}
 }
@@ -384,7 +384,7 @@ func TestSlopeGaugesPublished(t *testing.T) {
 func TestScalarPathWithoutPlacement(t *testing.T) {
 	bus, team, c := newRig(2, 8)
 	c.Tick(0)
-	bus.SetOccupancy(0, 0.5*4096)
+	bus.Set(telemetry.Occupancy, 0, 0.5*4096)
 	d := c.Tick(0.001)
 	if !d.Resized || d.Plan != nil || d.Rebalanced {
 		t.Fatalf("scalar path decision carries placement state: %+v", d)
@@ -397,7 +397,7 @@ func TestScalarPathWithoutPlacement(t *testing.T) {
 func TestReportAccountsThreadSeconds(t *testing.T) {
 	bus, team, c := newRig(2, 8)
 	c.Tick(0)
-	bus.SetOccupancy(0, 0)
+	bus.Set(telemetry.Occupancy, 0, 0)
 	for i := 1; i <= 10; i++ {
 		c.Tick(float64(i) * 0.001)
 	}
@@ -418,20 +418,20 @@ func TestReportAccountsThreadSeconds(t *testing.T) {
 func TestArrivalRateGaugePublished(t *testing.T) {
 	bus, _, c := newRig(2, 8)
 	c.Tick(0) // calibration tick baselines the Rx counters
-	bus.SetRx(0, 5000)
-	bus.SetRx(1, 1000)
+	bus.Store(telemetry.Rx, 0, 5000)
+	bus.Store(telemetry.Rx, 1, 1000)
 	c.Tick(0.001)
-	if got, want := bus.ArrivalRate(0), 5000.0/0.001; got != want {
+	if got, want := bus.Get(telemetry.ArrivalRate, 0), 5000.0/0.001; got != want {
 		t.Errorf("queue 0 arrival rate = %v, want %v", got, want)
 	}
-	if got, want := bus.ArrivalRate(1), 1000.0/0.001; got != want {
+	if got, want := bus.Get(telemetry.ArrivalRate, 1), 1000.0/0.001; got != want {
 		t.Errorf("queue 1 arrival rate = %v, want %v", got, want)
 	}
 	// Next window at a different rate: the gauge tracks the delta, not the
 	// cumulative counter.
-	bus.SetRx(0, 5500)
+	bus.Store(telemetry.Rx, 0, 5500)
 	c.Tick(0.002)
-	if got, want := bus.ArrivalRate(0), 500.0/0.001; got != want {
+	if got, want := bus.Get(telemetry.ArrivalRate, 0), 500.0/0.001; got != want {
 		t.Errorf("second-window rate = %v, want %v", got, want)
 	}
 }
@@ -440,22 +440,22 @@ func TestAvgOccSignalSwitch(t *testing.T) {
 	// With AvgOcc the controller must read the time-averaged gauge and
 	// ignore the point sample entirely.
 	bus := telemetry.NewBus(2, 8)
-	bus.SetCapacity(0, 4096)
-	bus.SetCapacity(1, 4096)
+	bus.Set(telemetry.Capacity, 0, 4096)
+	bus.Set(telemetry.Capacity, 1, 4096)
 	team := &fakeTeam{size: 2, floor: 2}
 	cfg := DefaultConfig(2, 8)
 	cfg.AvgOcc = true
 	c := New(bus, team, cfg)
 	c.Tick(0)
 	// Point gauge screams, averaged gauge is calm: no growth.
-	bus.SetOccupancy(1, 0.9*4096)
-	bus.SetOccAvg(1, 0.05*4096)
+	bus.Set(telemetry.Occupancy, 1, 0.9*4096)
+	bus.Set(telemetry.OccAvg, 1, 0.05*4096)
 	d := c.Tick(0.001)
 	if d.Resized {
 		t.Fatalf("grew on the point gauge despite AvgOcc: %+v", d)
 	}
 	// Averaged gauge spikes: growth.
-	bus.SetOccAvg(1, 0.5*4096)
+	bus.Set(telemetry.OccAvg, 1, 0.5*4096)
 	d = c.Tick(0.002)
 	if d.Applied <= 2 {
 		t.Fatalf("no growth on averaged-occupancy spike: %+v", d)
@@ -464,8 +464,8 @@ func TestAvgOccSignalSwitch(t *testing.T) {
 
 func newObjectiveRig(obj Objective, start int) (*telemetry.Bus, *fakeTeam, *Controller) {
 	bus := telemetry.NewBus(2, 8)
-	bus.SetCapacity(0, 4096)
-	bus.SetCapacity(1, 4096)
+	bus.Set(telemetry.Capacity, 0, 4096)
+	bus.Set(telemetry.Capacity, 1, 4096)
 	team := &fakeTeam{size: start, floor: 2}
 	cfg := DefaultConfig(2, 8)
 	cfg.Objective = obj
@@ -490,8 +490,8 @@ func TestJoulesObjectivePrefersSmallerTeamAtEqualLoss(t *testing.T) {
 		// (hold/grow pressure) but below the energy-inflated one at trough
 		// duty (shrink pressure). No drops anywhere: equal, zero loss.
 		for _, bus := range []*telemetry.Bus{busTS, busJ} {
-			bus.SetOccupancy(0, 0.13*4096)
-			bus.SetOccupancy(1, 0.13*4096)
+			bus.Set(telemetry.Occupancy, 0, 0.13*4096)
+			bus.Set(telemetry.Occupancy, 1, 0.13*4096)
 		}
 		lastTS = ts.Tick(now)
 		lastJ = j.Tick(now)
@@ -511,13 +511,13 @@ func TestJoulesObjectivePrefersSmallerTeamAtEqualLoss(t *testing.T) {
 func TestJoulesLossOverrideStillWins(t *testing.T) {
 	bus, _, c := newObjectiveRig(ObjectiveJoules, 2)
 	c.Tick(0)
-	bus.SetOccupancy(0, 0.05*4096) // below even the base target
+	bus.Set(telemetry.Occupancy, 0, 0.05*4096) // below even the base target
 	drops := uint64(0)
 	now := 0.0
 	grewTo := 0
 	for i := 0; i < 20; i++ {
 		drops += 500
-		bus.SetDrops(0, drops)
+		bus.Store(telemetry.Drops, 0, drops)
 		now += 0.001
 		grewTo = c.Tick(now).Applied
 	}
@@ -540,8 +540,8 @@ func TestWattsGaugeAndReportJoules(t *testing.T) {
 		now += 0.001
 		// Hold occupancy on target so the team size stays put and the
 		// watts gauge is a pure function of shape.
-		bus.SetOccupancy(0, 0.10*4096)
-		bus.SetOccupancy(1, 0.10*4096)
+		bus.Set(telemetry.Occupancy, 0, 0.10*4096)
+		bus.Set(telemetry.Occupancy, 1, 0.10*4096)
 		d := c.Tick(now)
 		idleW, cur = d.Watts, d.Applied
 		if d.Duty != 0 {
@@ -559,7 +559,7 @@ func TestWattsGaugeAndReportJoules(t *testing.T) {
 		now += 0.001
 		busy += 4 * 0.001 // all four members flat out
 		for th := 0; th < 4; th++ {
-			bus.SetThreadBusy(th, busy/4)
+			bus.SetThread(telemetry.BusySeconds, th, busy/4)
 		}
 		busyW = c.Tick(now).Watts
 	}

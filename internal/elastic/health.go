@@ -47,8 +47,8 @@ func newHealthState(bus *telemetry.Bus) *healthState {
 
 // seed baselines the detectors from the calibration tick's snapshot.
 func (h *healthState) seed(snap *telemetry.Snapshot, now float64) {
-	copy(h.prevPub, snap.PubSeq)
-	copy(h.prevHB, snap.Heartbeat)
+	copy(h.prevPub, snap.Counter[telemetry.PubSeq])
+	copy(h.prevHB, snap.Thread[telemetry.Heartbeat])
 	h.tokensAt = now
 }
 
@@ -80,7 +80,7 @@ func (c *Controller) healthObserve(d *Decision, cur int) bool {
 	h := c.health
 	staleCount := 0
 	for q := 0; q < c.bus.Queues(); q++ {
-		if seq := c.snap.PubSeq[q]; seq != h.prevPub[q] {
+		if seq := c.snap.Counter[telemetry.PubSeq][q]; seq != h.prevPub[q] {
 			h.prevPub[q] = seq
 			h.staleFor[q] = 0
 		} else {
@@ -93,7 +93,7 @@ func (c *Controller) healthObserve(d *Decision, cur int) bool {
 		}
 	}
 	for i := range h.prevHB {
-		hb := c.snap.Heartbeat[i]
+		hb := c.snap.Thread[telemetry.Heartbeat][i]
 		if hb != h.prevHB[i] {
 			h.prevHB[i] = hb
 			h.hbSame[i] = 0

@@ -22,8 +22,8 @@ func (f *fakeHomed) ThreadHome(id int) int {
 
 func newHealthRig(minThreads, budget int, mut func(*Config)) (*telemetry.Bus, *fakeHomed, *Controller) {
 	bus := telemetry.NewBus(2, budget)
-	bus.SetCapacity(0, 4096)
-	bus.SetCapacity(1, 4096)
+	bus.Set(telemetry.Capacity, 0, 4096)
+	bus.Set(telemetry.Capacity, 1, 4096)
 	team := &fakeHomed{fakeActuator: fakeActuator{fakeTeam: fakeTeam{size: minThreads, floor: 2}}}
 	cfg := DefaultConfig(minThreads, budget)
 	cfg.Placement = true
@@ -38,10 +38,10 @@ func newHealthRig(minThreads, budget int, mut func(*Config)) (*telemetry.Bus, *f
 // sequences — a healthy tick's worth of bus traffic.
 func beat(bus *telemetry.Bus, team int, now float64) {
 	for i := 0; i < team; i++ {
-		bus.SetHeartbeat(i, now)
+		bus.SetThread(telemetry.Heartbeat, i, now)
 	}
-	bus.BumpPub(0)
-	bus.BumpPub(1)
+	bus.Add(telemetry.PubSeq, 0, 1)
+	bus.Add(telemetry.PubSeq, 1, 1)
 }
 
 // Satellite: Tick rejects non-monotonic and duplicate timestamps — the PI
@@ -49,7 +49,7 @@ func beat(bus *telemetry.Bus, team int, now float64) {
 func TestTickRejectsNonMonotonicNow(t *testing.T) {
 	bus, team, c := newRig(2, 8)
 	c.Tick(0)
-	bus.SetOccupancy(1, 0.4*4096)
+	bus.Set(telemetry.Occupancy, 1, 0.4*4096)
 	d1 := c.Tick(0.001)
 	if d1.Applied <= 2 {
 		t.Fatalf("setup failed to grow: %+v", d1)
@@ -77,9 +77,9 @@ func TestStaleQueueDetected(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		// Queue 0 publishes every tick; queue 1 went quiet at the start.
 		for id := 0; id < 4; id++ {
-			bus.SetHeartbeat(id, now+1)
+			bus.SetThread(telemetry.Heartbeat, id, now+1)
 		}
-		bus.BumpPub(0)
+		bus.Add(telemetry.PubSeq, 0, 1)
 		now += 0.001
 		d = c.Tick(now)
 	}
@@ -132,7 +132,7 @@ func TestSafeModeIsGrowOnly(t *testing.T) {
 	// Grow to 7 on real signal first.
 	now := 0.0
 	for i := 0; i < 10; i++ {
-		bus.SetOccupancy(1, 0.6*4096)
+		bus.Set(telemetry.Occupancy, 1, 0.6*4096)
 		beat(bus, team.size, now+1)
 		now += 0.001
 		c.Tick(now)
@@ -160,11 +160,11 @@ func TestStragglerExiledAndRecovered(t *testing.T) {
 	tickHealthy := func(except int) Decision {
 		for id := 0; id < team.size; id++ {
 			if id != except {
-				bus.SetHeartbeat(id, now+1)
+				bus.SetThread(telemetry.Heartbeat, id, now+1)
 			}
 		}
-		bus.BumpPub(0)
-		bus.BumpPub(1)
+		bus.Add(telemetry.PubSeq, 0, 1)
+		bus.Add(telemetry.PubSeq, 1, 1)
 		now += 0.001
 		return c.Tick(now)
 	}
@@ -213,8 +213,8 @@ func TestStragglerExiledAndRecovered(t *testing.T) {
 // Without a placement-capable substrate the exile degrades to a scalar grow.
 func TestExileScalarFallback(t *testing.T) {
 	bus := telemetry.NewBus(2, 8)
-	bus.SetCapacity(0, 4096)
-	bus.SetCapacity(1, 4096)
+	bus.Set(telemetry.Capacity, 0, 4096)
+	bus.Set(telemetry.Capacity, 1, 4096)
 	team := &fakeTeam{size: 4, floor: 2}
 	cfg := DefaultConfig(4, 8)
 	cfg.Health = true
@@ -224,14 +224,14 @@ func TestExileScalarFallback(t *testing.T) {
 	for i := 0; i < 20 && team.size == 4; i++ {
 		for id := 0; id < 4; id++ {
 			if id != 2 {
-				bus.SetHeartbeat(id, now+1)
+				bus.SetThread(telemetry.Heartbeat, id, now+1)
 			}
 		}
 		if i < 4 {
-			bus.SetHeartbeat(2, now+1) // beat a few times before stalling
+			bus.SetThread(telemetry.Heartbeat, 2, now+1) // beat a few times before stalling
 		}
-		bus.BumpPub(0)
-		bus.BumpPub(1)
+		bus.Add(telemetry.PubSeq, 0, 1)
+		bus.Add(telemetry.PubSeq, 1, 1)
 		now += 0.001
 		c.Tick(now)
 	}
@@ -250,7 +250,7 @@ func TestDarkLossExcludedFromOverride(t *testing.T) {
 	var d Decision
 	for i := 0; i < 20; i++ {
 		drops += 1000
-		bus.SetDrops(0, drops) // queue 0 overflows while reading empty
+		bus.Store(telemetry.Drops, 0, drops) // queue 0 overflows while reading empty
 		beat(bus, team.size, now+1)
 		now += 0.001
 		d = c.Tick(now)
@@ -282,8 +282,8 @@ func (p *panicTeam) SetTeamSize(m int) int {
 
 func TestWatchdogRecoversTickPanic(t *testing.T) {
 	bus := telemetry.NewBus(2, 8)
-	bus.SetCapacity(0, 4096)
-	bus.SetCapacity(1, 4096)
+	bus.Set(telemetry.Capacity, 0, 4096)
+	bus.Set(telemetry.Capacity, 1, 4096)
 	team := &panicTeam{fakeTeam: fakeTeam{size: 2, floor: 2}}
 	cfg := DefaultConfig(2, 8)
 	cfg.Health = true
@@ -291,9 +291,9 @@ func TestWatchdogRecoversTickPanic(t *testing.T) {
 	c.Tick(0)
 	good := c.Tick(0.001)
 	team.armed = true
-	bus.SetOccupancy(1, 0.5*4096) // forces a grow, which panics
-	bus.BumpPub(0)
-	bus.BumpPub(1)
+	bus.Set(telemetry.Occupancy, 1, 0.5*4096) // forces a grow, which panics
+	bus.Add(telemetry.PubSeq, 0, 1)
+	bus.Add(telemetry.PubSeq, 1, 1)
 	d := c.Tick(0.002)
 	if d.At != good.At || d.Applied != good.Applied {
 		t.Fatalf("watchdog did not return the last good decision: %+v", d)
@@ -302,8 +302,8 @@ func TestWatchdogRecoversTickPanic(t *testing.T) {
 		t.Fatalf("panics = %d, want 1", rep.Panics)
 	}
 	// The disarmed team actuates normally on the next tick.
-	bus.BumpPub(0)
-	bus.BumpPub(1)
+	bus.Add(telemetry.PubSeq, 0, 1)
+	bus.Add(telemetry.PubSeq, 1, 1)
 	if d := c.Tick(0.003); d.Applied <= 2 {
 		t.Fatalf("controller did not recover after the panic: %+v", d)
 	}
@@ -322,9 +322,9 @@ func TestActuationRateLimit(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		// Whipsaw: alternate a full ring and an empty one every tick.
 		if i%2 == 0 {
-			bus.SetOccupancy(0, 0.9*4096)
+			bus.Set(telemetry.Occupancy, 0, 0.9*4096)
 		} else {
-			bus.SetOccupancy(0, 0)
+			bus.Set(telemetry.Occupancy, 0, 0)
 		}
 		beat(bus, team.size, now+1)
 		now += 0.001

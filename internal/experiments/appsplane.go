@@ -131,7 +131,7 @@ func appsDrive(procs []apps.BurstProcessor, npkts int, seed uint64) (fwd, con, d
 	cancel()
 	wg.Wait()
 	for t := 0; t < m; t++ {
-		cpuSec += bus.ThreadBusy(t)
+		cpuSec += bus.Thread(telemetry.BusySeconds, t)
 	}
 	return nFwd.Load(), nCon.Load(), nDrp.Load(), elapsed, cpuSec
 }

@@ -232,16 +232,16 @@ func TestTraceDumpsDeterministic(t *testing.T) {
 func promBus() *telemetry.Bus {
 	bus := telemetry.NewBus(2, 4)
 	for q := 0; q < 2; q++ {
-		bus.SetOccupancy(q, float64(10*(q+1)))
-		bus.SetCapacity(q, 4096)
-		bus.SetArrivalRate(q, 1e6*float64(q+1))
-		bus.SetDrops(q, uint64(5*q))
-		bus.SetRx(q, uint64(1000*(q+1)))
-		bus.BumpPub(q)
+		bus.Set(telemetry.Occupancy, q, float64(10*(q+1)))
+		bus.Set(telemetry.Capacity, q, 4096)
+		bus.Set(telemetry.ArrivalRate, q, 1e6*float64(q+1))
+		bus.Store(telemetry.Drops, q, uint64(5*q))
+		bus.Store(telemetry.Rx, q, uint64(1000*(q+1)))
+		bus.Add(telemetry.PubSeq, q, 1)
 	}
 	for t := 0; t < 4; t++ {
-		bus.SetHeartbeat(t, float64(t)*0.25)
-		bus.SetThreadBusy(t, float64(t)*0.5)
+		bus.SetThread(telemetry.Heartbeat, t, float64(t)*0.25)
+		bus.SetThread(telemetry.BusySeconds, t, float64(t)*0.5)
 	}
 	// A deterministic multiplicative spread: latencies from ~1 us to ~5 ms.
 	v := uint64(997)

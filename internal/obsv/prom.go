@@ -106,20 +106,24 @@ func (m *Metrics) sample(name, key string, idx int, v float64) {
 	m.buf = append(m.buf, '\n')
 }
 
-// perQueueF emits one gauge family with a line per queue.
-func (m *Metrics) perQueueF(name, help, typ string, vals []float64) {
-	m.header(name, help, typ)
-	for q, v := range vals {
-		m.sample(name, "queue", q, v)
+// family emits one row of the bus's descriptor table: its HELP/TYPE
+// preamble and one sample line per queue or thread, labelled by key.
+func family[T float64 | uint64](m *Metrics, s telemetry.Series, key string, vals []T) {
+	m.header(s.Name, s.Help, s.Type)
+	for i, v := range vals {
+		m.sample(s.Name, key, i, float64(v))
 	}
 }
 
-// perQueueU emits one counter family with a line per queue.
-func (m *Metrics) perQueueU(name, help, typ string, vals []uint64) {
-	m.header(name, help, typ)
-	for q, v := range vals {
-		m.sample(name, "queue", q, float64(v))
-	}
+// histLine starts one latency-histogram line, up to its queue label value:
+// `<ns>_queue_latency_seconds<suffix>{queue="<q>`.
+func (m *Metrics) histLine(suffix string, q int) {
+	m.buf = append(m.buf, m.opt.Namespace...)
+	m.buf = append(m.buf, '_')
+	m.buf = append(m.buf, telemetry.Latency.Name...)
+	m.buf = append(m.buf, suffix...)
+	m.buf = append(m.buf, "{queue=\""...)
+	m.buf = strconv.AppendInt(m.buf, int64(q), 10)
 }
 
 // WriteExposition renders one complete scrape of the bus (and recorder,
@@ -131,25 +135,14 @@ func (m *Metrics) WriteExposition(w io.Writer) error {
 	m.opt.Bus.Sample(&m.snap)
 	m.buf = m.buf[:0]
 
-	m.perQueueF("queue_occupancy", "Last-published wake-time ring occupancy (packets).", "gauge", m.snap.Occ)
-	m.perQueueF("queue_occupancy_avg", "Time-averaged ring occupancy (packets).", "gauge", m.snap.OccAvg)
-	m.perQueueF("queue_capacity", "Ring capacity (packets).", "gauge", m.snap.Cap)
-	m.perQueueF("queue_rho", "Attendant utilization estimate.", "gauge", m.snap.Rho)
-	m.perQueueF("queue_occupancy_slope", "Occupancy-fraction trend per second (feedforward input).", "gauge", m.snap.OccSlope)
-	m.perQueueF("queue_arrival_rate_pps", "Measured arrival rate (packets/second).", "gauge", m.snap.Rate)
-	m.perQueueU("queue_drops_total", "Dropped packets (producer-side ring-full and pool-empty).", "counter", m.snap.Drops)
-	m.perQueueU("queue_rx_total", "Retrieved packets.", "counter", m.snap.Rx)
-	m.perQueueU("queue_tries_total", "Lock attempts on the queue.", "counter", m.snap.Tries)
-	m.perQueueU("queue_busy_tries_total", "Lock attempts that lost the race.", "counter", m.snap.BusyTr)
-	m.perQueueU("queue_pub_seq", "Telemetry publication sequence (staleness detector input).", "counter", m.snap.PubSeq)
-
-	m.header("thread_busy_seconds_total", "Cumulative on-CPU seconds per team member.", "counter")
-	for t, v := range m.snap.ThreadBusy {
-		m.sample("thread_busy_seconds_total", "thread", t, v)
+	for g, s := range telemetry.Gauges {
+		family(m, s, "queue", m.snap.Gauge[g])
 	}
-	m.header("thread_heartbeat_seconds", "Last telemetry publish per member, in substrate seconds (liveness signal).", "gauge")
-	for t, v := range m.snap.Heartbeat {
-		m.sample("thread_heartbeat_seconds", "thread", t, v)
+	for c, s := range telemetry.Counters {
+		family(m, s, "queue", m.snap.Counter[c])
+	}
+	for g, s := range telemetry.ThreadGauges {
+		family(m, s, "thread", m.snap.Thread[g])
 	}
 
 	// Team/controller state: prefer the live source, fall back to the
@@ -198,8 +191,7 @@ func (m *Metrics) WriteExposition(w io.Writer) error {
 	// layout. Every occupied bucket emits one cumulative line whose le is
 	// the bucket's exact upper edge in seconds; _sum is the upper-edge
 	// estimate (the layout counts, it does not sum).
-	m.header("queue_latency_seconds", "Per-packet retrieval latency, folded exactly from the bus's log-scale buckets; _sum is the conservative upper-edge estimate.", "histogram")
-	name := m.opt.Namespace + "_queue_latency_seconds"
+	m.header(telemetry.Latency.Name, telemetry.Latency.Help, telemetry.Latency.Type)
 	for q := 0; q < m.opt.Bus.Queues(); q++ {
 		m.hist.Reset()
 		m.opt.Bus.SampleLatency(q, &m.hist)
@@ -212,30 +204,22 @@ func (m *Metrics) WriteExposition(w io.Writer) error {
 			cum += c
 			upper := stats.LogBucketUpper(i)
 			sumNs += c * upper
-			m.buf = append(m.buf, name...)
-			m.buf = append(m.buf, "_bucket{queue=\""...)
-			m.buf = strconv.AppendInt(m.buf, int64(q), 10)
+			m.histLine("_bucket", q)
 			m.buf = append(m.buf, "\",le=\""...)
 			m.buf = appendF(m.buf, float64(upper)/1e9)
 			m.buf = append(m.buf, "\"} "...)
 			m.buf = strconv.AppendUint(m.buf, cum, 10)
 			m.buf = append(m.buf, '\n')
 		}
-		m.buf = append(m.buf, name...)
-		m.buf = append(m.buf, "_bucket{queue=\""...)
-		m.buf = strconv.AppendInt(m.buf, int64(q), 10)
+		m.histLine("_bucket", q)
 		m.buf = append(m.buf, "\",le=\"+Inf\"} "...)
 		m.buf = strconv.AppendUint(m.buf, cum, 10)
 		m.buf = append(m.buf, '\n')
-		m.buf = append(m.buf, name...)
-		m.buf = append(m.buf, "_sum{queue=\""...)
-		m.buf = strconv.AppendInt(m.buf, int64(q), 10)
+		m.histLine("_sum", q)
 		m.buf = append(m.buf, "\"} "...)
 		m.buf = appendF(m.buf, float64(sumNs)/1e9)
 		m.buf = append(m.buf, '\n')
-		m.buf = append(m.buf, name...)
-		m.buf = append(m.buf, "_count{queue=\""...)
-		m.buf = strconv.AppendInt(m.buf, int64(q), 10)
+		m.histLine("_count", q)
 		m.buf = append(m.buf, "\"} "...)
 		m.buf = strconv.AppendUint(m.buf, cum, 10)
 		m.buf = append(m.buf, '\n')
@@ -267,8 +251,11 @@ var (
 
 // PublishExpvar publishes the exporter under name on the process-wide
 // expvar registry as a func variable rendering one scrape's scalar
-// series (histograms stay on the Prometheus endpoint; expvar is the
-// quick-look debug surface next to expvar's own memstats). Publishing
+// series: every row of the bus's descriptor table under its exposition
+// name, grouped per queue (queue0: {queue_occupancy: ...}) and per
+// thread (thread0: {thread_heartbeat_seconds: ...}), plus the team and
+// recorder totals. Histograms stay on the Prometheus endpoint; expvar is
+// the quick-look debug surface next to expvar's own memstats. Publishing
 // the same name twice is a no-op — expvar itself panics on duplicates,
 // so re-wiring across test runs stays safe.
 func (m *Metrics) PublishExpvar(name string) {
@@ -279,18 +266,25 @@ func (m *Metrics) PublishExpvar(name string) {
 	}
 	expvarPublished[name] = true
 	expvar.Publish(name, expvar.Func(func() any {
-		out := map[string]any{}
 		var snap telemetry.Snapshot
 		m.opt.Bus.Sample(&snap)
-		for q := range snap.Occ {
-			key := "queue" + strconv.Itoa(q)
-			out[key] = map[string]any{
-				"occupancy": snap.Occ[q],
-				"capacity":  snap.Cap[q],
-				"rate_pps":  snap.Rate[q],
-				"drops":     snap.Drops[q],
-				"rx":        snap.Rx[q],
+		out := map[string]any{}
+		for q := 0; q < m.opt.Bus.Queues(); q++ {
+			row := map[string]any{}
+			for g, s := range telemetry.Gauges {
+				row[s.Name] = snap.Gauge[g][q]
 			}
+			for c, s := range telemetry.Counters {
+				row[s.Name] = snap.Counter[c][q]
+			}
+			out["queue"+strconv.Itoa(q)] = row
+		}
+		for t := 0; t < m.opt.Bus.Threads(); t++ {
+			row := map[string]any{}
+			for g, s := range telemetry.ThreadGauges {
+				row[s.Name] = snap.Thread[g][t]
+			}
+			out["thread"+strconv.Itoa(t)] = row
 		}
 		if m.opt.TeamSize != nil {
 			out["team_size"] = m.opt.TeamSize()

@@ -112,7 +112,7 @@ func BenchmarkRunnerL3fwd(b *testing.B) {
 	<-ran
 	var busy float64
 	for t := 0; t < cfg.M; t++ {
-		busy += cfg.Bus.ThreadBusy(t)
+		busy += cfg.Bus.Thread(telemetry.BusySeconds, t)
 	}
 	b.ReportMetric(busy*1e9/float64(b.N), "busy-ns/pkt")
 	if got := int(r.Stats.Packets.Load()); got != b.N {

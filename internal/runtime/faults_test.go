@@ -151,21 +151,21 @@ func TestLiveFreezeStopsPubSeqNotHeartbeat(t *testing.T) {
 	inj.FreezeTelemetry(0, true)
 	// One settling cycle so in-flight publishes land before the baseline.
 	time.Sleep(5 * time.Millisecond)
-	seq0 := bus.PubSeq(0)
+	seq0 := bus.Load(telemetry.PubSeq, 0)
 	hb := make([]float64, 3)
 	for i := range hb {
-		hb[i] = bus.Heartbeat(i)
+		hb[i] = bus.Thread(telemetry.Heartbeat, i)
 	}
 	sent2 := bench.produce(ctx, 4000)
 	if !drainTo(processed, uint64(sent+sent2), 5*time.Second) {
 		t.Fatalf("frozen-queue drain incomplete: %d of %d", processed.Load(), sent+sent2)
 	}
-	if got := bus.PubSeq(0); got != seq0 {
+	if got := bus.Load(telemetry.PubSeq, 0); got != seq0 {
 		t.Fatalf("frozen queue kept publishing: seq %d -> %d", seq0, got)
 	}
 	moved := 0
 	for i := range hb {
-		if bus.Heartbeat(i) > hb[i] {
+		if bus.Thread(telemetry.Heartbeat, i) > hb[i] {
 			moved++
 		}
 	}
@@ -177,7 +177,7 @@ func TestLiveFreezeStopsPubSeqNotHeartbeat(t *testing.T) {
 	if !drainTo(processed, uint64(sent+sent2+sent3), 5*time.Second) {
 		t.Fatalf("thawed drain incomplete")
 	}
-	if bus.PubSeq(0) == seq0 {
+	if bus.Load(telemetry.PubSeq, 0) == seq0 {
 		t.Fatal("thawed queue never resumed publishing")
 	}
 }

@@ -176,9 +176,12 @@ type Config struct {
 	Sleeper hrtimer.Sleeper
 	// Bus, when set, receives live telemetry: per-queue ring occupancy,
 	// rho, trylock counters and per-thread on-CPU time, published from the
-	// retrieval goroutines with one atomic store each. The elastic control
-	// plane samples it; the work-stealing discipline reads occupancy from
-	// it. Producers should AddDrops/AddRx on it for loss visibility.
+	// retrieval goroutines with one atomic operation each; they add Rx
+	// themselves, one Add(telemetry.Rx, q, n) per burst. Producers report
+	// the packets they drop (ring full, pool empty) with
+	// Add(telemetry.Drops, q, n), which is the controller's loss signal.
+	// The elastic control plane samples it; the work-stealing discipline
+	// reads occupancy from it.
 	Bus *telemetry.Bus
 	// Faults, when set, is the deterministic fault-injection plane the
 	// retrieval goroutines consult on their cycle path: dead threads park in
@@ -363,7 +366,7 @@ func NewProc(queues []RxQueue, procs []apps.BurstProcessor, emit EmitFunc, cfg C
 		r.occAt = make([]atomic.Int64, len(queues))
 		for i, probe := range r.lens {
 			if cq, ok := queues[i].(interface{ Cap() int }); ok && probe != nil {
-				r.bus.SetCapacity(i, float64(cq.Cap()))
+				r.bus.Set(telemetry.Capacity, i, float64(cq.Cap()))
 			}
 		}
 	}
@@ -384,10 +387,10 @@ func (r *Runner) publishOcc(q int, now int64) {
 		return
 	}
 	occ := float64(probe())
-	r.bus.SetOccupancy(q, occ)
+	r.bus.Set(telemetry.Occupancy, q, occ)
 	last := r.occAt[q].Swap(now)
 	if last == 0 {
-		r.bus.SetOccAvg(q, occ)
+		r.bus.Set(telemetry.OccAvg, q, occ)
 		return
 	}
 	dt := time.Duration(now - last).Seconds()
@@ -395,8 +398,8 @@ func (r *Runner) publishOcc(q int, now int64) {
 		return
 	}
 	a := 1 - math.Exp(-dt/(8*r.cfg.VBar).Seconds())
-	avg := r.bus.OccAvg(q)
-	r.bus.SetOccAvg(q, avg+a*(occ-avg))
+	avg := r.bus.Get(telemetry.OccAvg, q)
+	r.bus.Set(telemetry.OccAvg, q, avg+a*(occ-avg))
 }
 
 // Policy exposes the scheduling discipline driving this runner.
@@ -614,7 +617,7 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 		}
 		r.Stats.Tries.Add(1)
 		if r.cyc.Publishes(q) {
-			r.bus.AddTries(q, 1)
+			r.bus.Add(telemetry.Tries, q, 1)
 		}
 		// Shared-queue disciplines CAS-claim the queue's service turn
 		// before touching its trylock: a failed claim proves a sibling
@@ -626,9 +629,9 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 		if !r.cyc.ClaimTurn(q) || !st.lock.CompareAndSwap(false, true) {
 			r.Stats.BusyTries.Add(1)
 			if r.cyc.Publishes(q) {
-				r.bus.AddBusyTries(q, 1)
+				r.bus.Add(telemetry.BusyTries, q, 1)
 				r.publishOcc(q, r.nanotime())
-				r.bus.BumpPub(q)
+				r.bus.Add(telemetry.PubSeq, q, 1)
 			}
 			var tl float64
 			q, tl = r.cyc.LostRace(id, q, rng)
@@ -674,7 +677,7 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 			r.Stats.Packets.Add(uint64(n))
 			r.Stats.Bursts.Add(1)
 			if r.cyc.Publishes(q) {
-				r.bus.AddRx(q, uint64(n))
+				r.bus.Add(telemetry.Rx, q, uint64(n))
 				// Every stamped packet's retrieval latency goes into the bus
 				// histogram: one monotonic-clock read and a few atomic adds per
 				// burst. Stamps are read BEFORE dispatch: emit recycles the

@@ -576,7 +576,7 @@ func TestResizeUnderLoadRace(t *testing.T) {
 		t.Fatalf("pool leak: %d/%d", bench.pool.Available(), bench.pool.Size())
 	}
 	// Telemetry flowed from the goroutines.
-	if bus.Tries(0)+bus.Tries(1) == 0 {
+	if bus.Load(telemetry.Tries, 0)+bus.Load(telemetry.Tries, 1) == 0 {
 		t.Error("no tries published to the bus")
 	}
 }
@@ -810,8 +810,8 @@ func TestNewProcValidation(t *testing.T) {
 
 // TestBusSizedForDeployment: a telemetry bus with fewer queue slots than the
 // deployment has queues is refused at construction, by a message naming both
-// counts — not by an index panic from SetCapacity or, for a queue without
-// Cap, from AddTries on a retrieval goroutine.
+// counts — not by an index panic from publishing Capacity or, for a queue
+// without Cap, from adding Tries on a retrieval goroutine.
 func TestBusSizedForDeployment(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -980,7 +980,7 @@ func TestBusPublishesOccAvgLive(t *testing.T) {
 	seen := false
 	for time.Now().Before(deadline) {
 		bench.produce(ctx, 512)
-		if bus.OccAvg(0) > 0 {
+		if bus.Get(telemetry.OccAvg, 0) > 0 {
 			seen = true
 			break
 		}
@@ -1037,7 +1037,7 @@ func TestLiveBusLatencyHistogram(t *testing.T) {
 	for time.Now().Before(deadline) {
 		h.Reset()
 		bus.SampleLatency(0, &h)
-		if h.N() >= stamped && bus.Rx(0) >= stamped+unstamped {
+		if h.N() >= stamped && bus.Load(telemetry.Rx, 0) >= stamped+unstamped {
 			break
 		}
 		time.Sleep(time.Millisecond)

@@ -168,11 +168,11 @@ func (c *Cycle) Finish(id, q int, busy, vacation, threadBusy, now float64) (next
 	sleep = c.policy.ObserveCycle(q, busy, vacation)
 	if c.bus != nil {
 		if c.Publishes(q) {
-			c.bus.SetRho(q, c.policy.Rho(q))
-			c.bus.SetThreadBusy(id, threadBusy)
-			c.bus.BumpPub(q)
+			c.bus.Set(telemetry.Rho, q, c.policy.Rho(q))
+			c.bus.SetThread(telemetry.BusySeconds, id, threadBusy)
+			c.bus.Add(telemetry.PubSeq, q, 1)
 		}
-		c.bus.SetHeartbeat(id, now)
+		c.bus.SetThread(telemetry.Heartbeat, id, now)
 	}
 	next = q
 	if c.group != nil {

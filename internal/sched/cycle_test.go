@@ -195,12 +195,12 @@ func TestCycleFinishPublishes(t *testing.T) {
 	bus := cfg.Bus
 
 	c.Finish(1, 0, 30e-6, 10e-6, 0.25, 1.5)
-	rho := bus.Rho(0)
+	rho := bus.Get(telemetry.Rho, 0)
 	if rho <= 0 || rho != c.Policy().Rho(0) {
 		t.Fatalf("rho gauge %v, policy %v", rho, c.Policy().Rho(0))
 	}
-	if bus.ThreadBusy(1) != 0.25 || bus.Heartbeat(1) != 1.5 || bus.PubSeq(0) != 1 || bus.PubSeq(1) != 0 {
-		t.Fatalf("busy %v heartbeat %v pub %d/%d", bus.ThreadBusy(1), bus.Heartbeat(1), bus.PubSeq(0), bus.PubSeq(1))
+	if bus.Thread(telemetry.BusySeconds, 1) != 0.25 || bus.Thread(telemetry.Heartbeat, 1) != 1.5 || bus.Load(telemetry.PubSeq, 0) != 1 || bus.Load(telemetry.PubSeq, 1) != 0 {
+		t.Fatalf("busy %v heartbeat %v pub %d/%d", bus.Thread(telemetry.BusySeconds, 1), bus.Thread(telemetry.Heartbeat, 1), bus.Load(telemetry.PubSeq, 0), bus.Load(telemetry.PubSeq, 1))
 	}
 	if !c.Publishes(0) || c.Dark(0) {
 		t.Fatal("healthy queue reads frozen or dark")
@@ -214,14 +214,14 @@ func TestCycleFinishPublishes(t *testing.T) {
 		t.Fatal("Publishes/Dark do not follow the injector per queue")
 	}
 	c.Finish(1, 0, 1e-6, 90e-6, 0.5, 2.5)
-	if bus.Rho(0) != rho || bus.ThreadBusy(1) != 0.25 || bus.PubSeq(0) != 1 {
-		t.Fatalf("frozen queue published: rho %v busy %v pub %d", bus.Rho(0), bus.ThreadBusy(1), bus.PubSeq(0))
+	if bus.Get(telemetry.Rho, 0) != rho || bus.Thread(telemetry.BusySeconds, 1) != 0.25 || bus.Load(telemetry.PubSeq, 0) != 1 {
+		t.Fatalf("frozen queue published: rho %v busy %v pub %d", bus.Get(telemetry.Rho, 0), bus.Thread(telemetry.BusySeconds, 1), bus.Load(telemetry.PubSeq, 0))
 	}
 	if c.Policy().Rho(0) == rho {
 		t.Fatal("the estimate froze with the telemetry")
 	}
-	if bus.Heartbeat(1) != 2.5 {
-		t.Fatalf("heartbeat %v did not beat through the freeze", bus.Heartbeat(1))
+	if bus.Thread(telemetry.Heartbeat, 1) != 2.5 {
+		t.Fatalf("heartbeat %v did not beat through the freeze", bus.Thread(telemetry.Heartbeat, 1))
 	}
 
 	// No bus: nothing to publish, the decisions still come back.

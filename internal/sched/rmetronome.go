@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"metronome/internal/model"
+	"metronome/internal/telemetry"
 )
 
 // NameRMetronome selects the shared-queue service-group discipline with
@@ -341,5 +342,5 @@ func (p *RMetronome) occupancyScore(q int) float64 {
 	if p.cfg.Bus == nil {
 		return p.est.Rho(q)
 	}
-	return p.cfg.Bus.Occupancy(q) + p.est.Rho(q)*1e-3
+	return p.cfg.Bus.Get(telemetry.Occupancy, q) + p.est.Rho(q)*1e-3
 }

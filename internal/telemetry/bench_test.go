@@ -18,16 +18,16 @@ func BenchmarkTelemetrySample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		q := i & 3
-		bus.SetOccupancy(q, float64(i))
-		bus.SetOccSlope(q, float64(i)*1e-3)
-		bus.SetRho(q, 0.5)
-		bus.SetDrops(q, uint64(i))
-		bus.SetRx(q, uint64(i))
-		bus.SetTries(q, uint64(i))
-		bus.SetBusyTries(q, uint64(i))
-		bus.BumpPub(q)
-		bus.SetThreadBusy(i&15, float64(i))
-		bus.SetHeartbeat(i&15, float64(i))
+		bus.Set(Occupancy, q, float64(i))
+		bus.Set(OccSlope, q, float64(i)*1e-3)
+		bus.Set(Rho, q, 0.5)
+		bus.Store(Drops, q, uint64(i))
+		bus.Store(Rx, q, uint64(i))
+		bus.Store(Tries, q, uint64(i))
+		bus.Store(BusyTries, q, uint64(i))
+		bus.Add(PubSeq, q, 1)
+		bus.SetThread(BusySeconds, i&15, float64(i))
+		bus.SetThread(Heartbeat, i&15, float64(i))
 		bus.Sample(&s)
 	}
 }

@@ -1,9 +1,15 @@
 // Package telemetry is the lock-free telemetry plane underneath the
-// elastic control loop: a fixed set of atomic slots — per-queue occupancy,
-// ring capacity, load estimate, drop/receive/trylock counters, per-queue
-// log-scale latency histograms and per-thread on-CPU time — that both
-// execution substrates publish into and the elastic controller (or any
+// elastic control loop: a fixed set of atomic slots — per-queue log-scale
+// latency histograms plus the series of the descriptor table below — that
+// both execution substrates publish into and the elastic controller (or any
 // observer) samples out of.
+//
+// The table is the list of series. It has three families, each keyed by an
+// id: per-queue gauges (Gauge: Set/Get), per-queue counters (Counter:
+// Add/Store/Load) and per-thread gauges (ThreadGauge: SetThread/Thread).
+// Every row carries its exposition name, HELP text and Prometheus TYPE;
+// Sample, the Prometheus exposition, expvar and metrotop all enumerate the
+// table, so adding a signal is one id plus one row.
 //
 // The bus is sized once at construction and never allocates afterwards:
 // publishing is one atomic store or add per datum, sampling fills a
@@ -26,6 +32,119 @@ import (
 	"metronome/internal/stats"
 )
 
+// Series is one row of the descriptor table: how a signal is exposed.
+type Series struct {
+	// Name is the exposition name without the namespace prefix.
+	Name string
+	// Help is the exposition's HELP text.
+	Help string
+	// Type is the Prometheus TYPE: "gauge", "counter" or "histogram".
+	Type string
+}
+
+// Gauge identifies a per-queue float gauge.
+type Gauge int
+
+// The per-queue gauges, in exposition order.
+const (
+	// Occupancy is the queue's instantaneous buffered packet count.
+	Occupancy Gauge = iota
+	// OccAvg is the queue's time-averaged buffered packet count — the
+	// occupancy integral over the publisher's accounting window divided by
+	// the window, not a point sample. Point samples alias Metronome's cycle
+	// structure badly (a probe at cycle end always reads an empty ring, one
+	// at wake-up always reads a full vacation's worth); the window average
+	// is the signal control laws should consume.
+	OccAvg
+	// Capacity is the queue's descriptor-ring capacity in packets.
+	Capacity
+	// Rho is the attendants' load estimate for the queue.
+	Rho
+	// OccSlope is the elastic controller's EWMA of d(occupancy/capacity)/dt
+	// in capacity fractions per second, positive while a ramp or sine edge
+	// is filling the ring. Observers read the control plane's predictive
+	// input here instead of re-deriving it.
+	OccSlope
+	// ArrivalRate is the measured arrival rate in packets per second,
+	// derived from deltas of the Rx counter over an accounting window, so
+	// it reflects what actually entered the queue (drops excluded).
+	ArrivalRate
+	numGauges
+)
+
+// Gauges describes each Gauge, indexed by id.
+var Gauges = [numGauges]Series{
+	Occupancy:   {"queue_occupancy", "Last-published wake-time ring occupancy (packets).", "gauge"},
+	OccAvg:      {"queue_occupancy_avg", "Time-averaged ring occupancy (packets).", "gauge"},
+	Capacity:    {"queue_capacity", "Ring capacity (packets).", "gauge"},
+	Rho:         {"queue_rho", "Attendant utilization estimate.", "gauge"},
+	OccSlope:    {"queue_occupancy_slope", "Occupancy-fraction trend per second (feedforward input).", "gauge"},
+	ArrivalRate: {"queue_arrival_rate_pps", "Measured arrival rate (packets/second).", "gauge"},
+}
+
+// Counter identifies a per-queue counter. The twin Stores the absolute
+// totals its queue model owns; the live substrate Adds (a producer that
+// failed an enqueue adds its drops, a retrieval goroutine its burst).
+type Counter int
+
+// The per-queue counters, in exposition order.
+const (
+	// Drops counts dropped packets (producer-side ring-full and pool-empty).
+	Drops Counter = iota
+	// Rx counts retrieved packets.
+	Rx
+	// Tries counts trylock attempts on the queue.
+	Tries
+	// BusyTries counts the trylock attempts that lost the race.
+	BusyTries
+	// PubSeq is the queue's publish sequence. Substrates add one per
+	// per-queue publish block (a wake-time occupancy store, a cycle-end
+	// gauge batch), so an observer that sees it hold still across its own
+	// sampling cadence knows the queue's gauges are STALE. It is a sequence,
+	// not a timestamp: the two substrates run on different clocks (virtual
+	// seconds vs. nanoseconds since runner start) and the controller has a
+	// third, so "has anything been published since I last looked" is the
+	// only staleness question every combination can answer exactly.
+	PubSeq
+	numCounters
+)
+
+// Counters describes each Counter, indexed by id.
+var Counters = [numCounters]Series{
+	Drops:     {"queue_drops_total", "Dropped packets (producer-side ring-full and pool-empty).", "counter"},
+	Rx:        {"queue_rx_total", "Retrieved packets.", "counter"},
+	Tries:     {"queue_tries_total", "Lock attempts on the queue.", "counter"},
+	BusyTries: {"queue_busy_tries_total", "Lock attempts that lost the race.", "counter"},
+	PubSeq:    {"queue_pub_seq", "Telemetry publication sequence (staleness detector input).", "counter"},
+}
+
+// ThreadGauge identifies a per-thread float gauge. Thread indices at or
+// above the bus's sized budget are dropped on publish and read as zero.
+type ThreadGauge int
+
+// The per-thread gauges, in exposition order.
+const (
+	// BusySeconds is the thread's cumulative on-CPU seconds.
+	BusySeconds ThreadGauge = iota
+	// Heartbeat is the substrate timestamp of the thread's last completed
+	// service cycle (virtual seconds in the sim, seconds since runner start
+	// live). The health layer does not compare it against its own clock —
+	// cycle times strictly increase, so "did the value change since K
+	// control periods ago" detects a stalled or dead member without any
+	// cross-clock arithmetic.
+	Heartbeat
+	numThreadGauges
+)
+
+// ThreadGauges describes each ThreadGauge, indexed by id.
+var ThreadGauges = [numThreadGauges]Series{
+	BusySeconds: {"thread_busy_seconds_total", "Cumulative on-CPU seconds per team member.", "counter"},
+	Heartbeat:   {"thread_heartbeat_seconds", "Last telemetry publish per member, in substrate seconds (liveness signal).", "gauge"},
+}
+
+// Latency describes the per-queue retrieval-latency histograms.
+var Latency = Series{"queue_latency_seconds", "Per-packet retrieval latency, folded exactly from the bus's log-scale buckets; _sum is the conservative upper-edge estimate.", "histogram"}
+
 // slot is one cache-line-padded atomic cell. Gauges store float64 bits,
 // counters store uint64 counts; the interpretation is the bus's.
 type slot struct {
@@ -35,29 +154,16 @@ type slot struct {
 
 func (s *slot) storeF(v float64) { s.v.Store(math.Float64bits(v)) }
 func (s *slot) loadF() float64   { return math.Float64frombits(s.v.Load()) }
-func (s *slot) store(v uint64)   { s.v.Store(v) }
-func (s *slot) add(n uint64)     { s.v.Add(n) }
-func (s *slot) load() uint64     { return s.v.Load() }
 
 // Bus is the fixed-slot telemetry plane for one deployment: nq queues and
 // up to nt threads (size it for the elastic budget, not the initial team).
 type Bus struct {
 	nq, nt int
 
-	occ      []slot      // per-queue occupancy in packets (gauge)
-	occAvg   []slot      // per-queue time-averaged occupancy in packets (gauge)
-	capacity []slot      // per-queue ring capacity in packets (gauge)
-	slope    []slot      // per-queue occupancy slope in capacity fractions/s (gauge)
-	rho      []slot      // per-queue load estimate (gauge)
-	rate     []slot      // per-queue arrival rate in packets/s (gauge)
-	drops    []slot      // per-queue dropped packets (counter)
-	rx       []slot      // per-queue received packets (counter)
-	tries    []slot      // per-queue trylock attempts (counter)
-	busyTry  []slot      // per-queue failed trylock attempts (counter)
-	pub      []slot      // per-queue publish sequence (counter)
-	busy     []slot      // per-thread cumulative on-CPU seconds (gauge)
-	hb       []slot      // per-thread heartbeat: last cycle-completion time (gauge)
-	hist     []histBlock // per-queue retrieval-latency histogram (counters)
+	gauges   [numGauges][]slot       // per gauge id, one slot per queue
+	counters [numCounters][]slot     // per counter id, one slot per queue
+	threads  [numThreadGauges][]slot // per thread-gauge id, one slot per thread
+	hist     []histBlock             // per-queue retrieval-latency histogram (counters)
 }
 
 // histBlock is one queue's latency histogram on the bus: a contiguous
@@ -82,24 +188,17 @@ func NewBus(nQueues, maxThreads int) *Bus {
 	if maxThreads < 1 {
 		maxThreads = 1
 	}
-	return &Bus{
-		nq:       nQueues,
-		nt:       maxThreads,
-		occ:      make([]slot, nQueues),
-		occAvg:   make([]slot, nQueues),
-		capacity: make([]slot, nQueues),
-		slope:    make([]slot, nQueues),
-		rho:      make([]slot, nQueues),
-		rate:     make([]slot, nQueues),
-		drops:    make([]slot, nQueues),
-		rx:       make([]slot, nQueues),
-		tries:    make([]slot, nQueues),
-		busyTry:  make([]slot, nQueues),
-		pub:      make([]slot, nQueues),
-		busy:     make([]slot, maxThreads),
-		hb:       make([]slot, maxThreads),
-		hist:     make([]histBlock, nQueues),
+	b := &Bus{nq: nQueues, nt: maxThreads, hist: make([]histBlock, nQueues)}
+	for g := range b.gauges {
+		b.gauges[g] = make([]slot, nQueues)
 	}
+	for c := range b.counters {
+		b.counters[c] = make([]slot, nQueues)
+	}
+	for g := range b.threads {
+		b.threads[g] = make([]slot, maxThreads)
+	}
+	return b
 }
 
 // Queues returns the number of queue slots.
@@ -108,143 +207,40 @@ func (b *Bus) Queues() int { return b.nq }
 // Threads returns the number of thread slots.
 func (b *Bus) Threads() int { return b.nt }
 
-// SetOccupancy publishes queue q's instantaneous buffered packet count.
-func (b *Bus) SetOccupancy(q int, pkts float64) { b.occ[q].storeF(pkts) }
+// Set publishes gauge g of queue q.
+func (b *Bus) Set(g Gauge, q int, v float64) { b.gauges[g][q].storeF(v) }
 
-// Occupancy returns the last published occupancy of queue q.
-func (b *Bus) Occupancy(q int) float64 { return b.occ[q].loadF() }
+// Get returns the last published gauge g of queue q.
+func (b *Bus) Get(g Gauge, q int) float64 { return b.gauges[g][q].loadF() }
 
-// SetOccAvg publishes queue q's time-averaged buffered packet count — the
-// occupancy integral over the publisher's accounting window divided by the
-// window, not a point sample. Point samples alias Metronome's cycle
-// structure badly (a probe at cycle end always reads an empty ring, one at
-// wake-up always reads a full vacation's worth); the window average is the
-// signal control laws should consume.
-func (b *Bus) SetOccAvg(q int, pkts float64) { b.occAvg[q].storeF(pkts) }
+// Add accumulates n on counter c of queue q.
+func (b *Bus) Add(c Counter, q int, n uint64) { b.counters[c][q].v.Add(n) }
 
-// OccAvg returns queue q's last published time-averaged occupancy.
-func (b *Bus) OccAvg(q int) float64 { return b.occAvg[q].loadF() }
+// Store publishes an absolute total on counter c of queue q.
+func (b *Bus) Store(c Counter, q int, n uint64) { b.counters[c][q].v.Store(n) }
 
-// SetCapacity publishes queue q's descriptor-ring capacity.
-func (b *Bus) SetCapacity(q int, pkts float64) { b.capacity[q].storeF(pkts) }
+// Load returns counter c of queue q.
+func (b *Bus) Load(c Counter, q int) uint64 { return b.counters[c][q].v.Load() }
 
-// Capacity returns queue q's published ring capacity.
-func (b *Bus) Capacity(q int) float64 { return b.capacity[q].loadF() }
-
-// SetOccSlope publishes queue q's smoothed occupancy slope, in ring-
-// capacity fractions per second — the elastic controller's EWMA of
-// d(occupancy/capacity)/dt, positive while a ramp or sine edge is filling
-// the ring. Observers (the fig-placement panels, dashboards) read the
-// control plane's predictive input here instead of re-deriving it.
-func (b *Bus) SetOccSlope(q int, fracPerSec float64) { b.slope[q].storeF(fracPerSec) }
-
-// OccSlope returns queue q's last published occupancy slope.
-func (b *Bus) OccSlope(q int) float64 { return b.slope[q].loadF() }
-
-// SetRho publishes queue q's load estimate.
-func (b *Bus) SetRho(q int, rho float64) { b.rho[q].storeF(rho) }
-
-// Rho returns queue q's published load estimate.
-func (b *Bus) Rho(q int) float64 { return b.rho[q].loadF() }
-
-// SetArrivalRate publishes queue q's measured arrival rate in packets per
-// second — derived from deltas of the Rx counter over an accounting window,
-// so it reflects what actually entered the queue (drops excluded).
-func (b *Bus) SetArrivalRate(q int, pps float64) { b.rate[q].storeF(pps) }
-
-// ArrivalRate returns queue q's last published arrival rate.
-func (b *Bus) ArrivalRate(q int) float64 { return b.rate[q].loadF() }
-
-// SetDrops publishes queue q's cumulative drop count (sim substrate: the
-// queue model owns the authoritative counter).
-func (b *Bus) SetDrops(q int, n uint64) { b.drops[q].store(n) }
-
-// AddDrops accumulates drops on queue q (live substrate: the producer that
-// failed an enqueue reports them).
-func (b *Bus) AddDrops(q int, n uint64) { b.drops[q].add(n) }
-
-// Drops returns queue q's cumulative drop count.
-func (b *Bus) Drops(q int) uint64 { return b.drops[q].load() }
-
-// SetRx publishes queue q's cumulative received-packet count.
-func (b *Bus) SetRx(q int, n uint64) { b.rx[q].store(n) }
-
-// AddRx accumulates received packets on queue q.
-func (b *Bus) AddRx(q int, n uint64) { b.rx[q].add(n) }
-
-// Rx returns queue q's cumulative received-packet count.
-func (b *Bus) Rx(q int) uint64 { return b.rx[q].load() }
-
-// SetTries publishes queue q's cumulative trylock-attempt count.
-func (b *Bus) SetTries(q int, n uint64) { b.tries[q].store(n) }
-
-// AddTries accumulates trylock attempts on queue q.
-func (b *Bus) AddTries(q int, n uint64) { b.tries[q].add(n) }
-
-// Tries returns queue q's cumulative trylock-attempt count.
-func (b *Bus) Tries(q int) uint64 { return b.tries[q].load() }
-
-// SetBusyTries publishes queue q's cumulative failed-trylock count.
-func (b *Bus) SetBusyTries(q int, n uint64) { b.busyTry[q].store(n) }
-
-// AddBusyTries accumulates failed trylock attempts on queue q.
-func (b *Bus) AddBusyTries(q int, n uint64) { b.busyTry[q].add(n) }
-
-// BusyTries returns queue q's cumulative failed-trylock count.
-func (b *Bus) BusyTries(q int) uint64 { return b.busyTry[q].load() }
-
-// BumpPub advances queue q's publish-sequence counter. Substrates bump it
-// once per per-queue publish block (a wake-time occupancy store, a
-// cycle-end gauge batch), so an observer that sees the sequence hold still
-// across its own sampling cadence knows the queue's gauges are STALE — the
-// last values may be arbitrarily old. This is deliberately a sequence, not
-// a timestamp: the two substrates run on different clocks (virtual seconds
-// vs. nanoseconds since runner start) and the controller has a third, so
-// "has anything been published since I last looked" is the only staleness
-// question every combination can answer exactly.
-func (b *Bus) BumpPub(q int) { b.pub[q].add(1) }
-
-// PubSeq returns queue q's publish-sequence counter.
-func (b *Bus) PubSeq(q int) uint64 { return b.pub[q].load() }
-
-// SetHeartbeat publishes thread t's heartbeat: the substrate timestamp of
-// its last completed service cycle (virtual seconds in the sim, seconds
-// since runner start live). The health layer does not compare the value
-// against its own clock — cycle times strictly increase, so "did the value
-// change since K control periods ago" detects a stalled or dead member
-// without any cross-clock arithmetic. Indices beyond the sized budget are
-// dropped, not faulted.
-func (b *Bus) SetHeartbeat(t int, ts float64) {
+// SetThread publishes thread gauge g of thread t; indices beyond the sized
+// budget are dropped, not faulted.
+func (b *Bus) SetThread(g ThreadGauge, t int, v float64) {
 	if t < b.nt {
-		b.hb[t].storeF(ts)
+		b.threads[g][t].storeF(v)
 	}
 }
 
-// Heartbeat returns thread t's last published heartbeat (zero beyond the
-// sized budget, and for a thread that never completed a cycle).
-func (b *Bus) Heartbeat(t int) float64 {
+// Thread returns thread gauge g of thread t (zero beyond the sized budget,
+// and for a thread that never published).
+func (b *Bus) Thread(g ThreadGauge, t int) float64 {
 	if t >= b.nt {
 		return 0
 	}
-	return b.hb[t].loadF()
+	return b.threads[g][t].loadF()
 }
 
-// SetThreadBusy publishes thread t's cumulative on-CPU seconds. Indices
-// beyond the sized budget are dropped, not faulted.
-func (b *Bus) SetThreadBusy(t int, seconds float64) {
-	if t < b.nt {
-		b.busy[t].storeF(seconds)
-	}
-}
-
-// ThreadBusy returns thread t's cumulative on-CPU seconds (zero beyond the
-// sized budget).
-func (b *Bus) ThreadBusy(t int) float64 {
-	if t >= b.nt {
-		return 0
-	}
-	return b.busy[t].loadF()
-}
+// ThreadBusy returns thread t's cumulative on-CPU seconds: Thread(BusySeconds, t).
+func (b *Bus) ThreadBusy(t int) float64 { return b.Thread(BusySeconds, t) }
 
 // RecordLatency counts one per-packet retrieval latency (nanoseconds)
 // into queue q's histogram: one bucket computation (two shifts) plus one
@@ -304,75 +300,45 @@ func (b *Bus) ResetLatency(q int) {
 	}
 }
 
-// Snapshot is a caller-owned sample of the whole bus. Reuse one value
-// across Sample calls: after the first call sized to the bus, sampling
-// allocates nothing.
+// Snapshot is a caller-owned sample of the whole bus, indexed by id:
+// Gauge[Occupancy][q], Counter[Drops][q], Thread[Heartbeat][t]. Reuse one
+// value across Sample calls: after the first call sized to the bus,
+// sampling allocates nothing.
 type Snapshot struct {
-	// Occ is each queue's last-published wake-time ring occupancy
-	// (packets found on descriptor-ring entry); OccAvg its EWMA; Cap the
-	// ring capacity the occupancies are judged against; Rho the
-	// attendants' utilization estimate; OccSlope the per-second trend of
-	// OccAvg (the feedforward input); Rate the arrival-rate estimate in
-	// packets per second.
-	Occ, OccAvg, Cap, Rho, OccSlope, Rate []float64
-	// Drops and Rx are each queue's cumulative dropped/retrieved packet
-	// counters; Tries and BusyTr count lock attempts and the subset that
-	// lost the race; PubSeq is the queue slot's publication sequence
-	// number — it advances on every publish, so a reader can detect
-	// staleness (an unchanged PubSeq between samples means no attendant
-	// published, the health plane's liveness signal).
-	Drops, Rx, Tries, BusyTr, PubSeq []uint64
-	// ThreadBusy is each thread's cumulative busy-seconds gauge and
-	// Heartbeat its last-publish timestamp in engine seconds — the
-	// per-member inputs to the fault plane's straggler detector.
-	ThreadBusy, Heartbeat []float64
+	Gauge   [numGauges][]float64       // per-queue gauges, by Gauge id
+	Counter [numCounters][]uint64      // per-queue counters, by Counter id
+	Thread  [numThreadGauges][]float64 // per-thread gauges, by ThreadGauge id
 }
 
 // Sample fills dst with the current slot values, growing its slices only
 // if they do not match the bus shape yet.
 func (b *Bus) Sample(dst *Snapshot) {
-	dst.Occ = sizedF(dst.Occ, b.nq)
-	dst.OccAvg = sizedF(dst.OccAvg, b.nq)
-	dst.Cap = sizedF(dst.Cap, b.nq)
-	dst.Rho = sizedF(dst.Rho, b.nq)
-	dst.OccSlope = sizedF(dst.OccSlope, b.nq)
-	dst.Rate = sizedF(dst.Rate, b.nq)
-	dst.Drops = sizedU(dst.Drops, b.nq)
-	dst.Rx = sizedU(dst.Rx, b.nq)
-	dst.Tries = sizedU(dst.Tries, b.nq)
-	dst.BusyTr = sizedU(dst.BusyTr, b.nq)
-	dst.PubSeq = sizedU(dst.PubSeq, b.nq)
-	dst.ThreadBusy = sizedF(dst.ThreadBusy, b.nt)
-	dst.Heartbeat = sizedF(dst.Heartbeat, b.nt)
-	for q := 0; q < b.nq; q++ {
-		dst.Occ[q] = b.occ[q].loadF()
-		dst.OccAvg[q] = b.occAvg[q].loadF()
-		dst.Cap[q] = b.capacity[q].loadF()
-		dst.Rho[q] = b.rho[q].loadF()
-		dst.OccSlope[q] = b.slope[q].loadF()
-		dst.Rate[q] = b.rate[q].loadF()
-		dst.Drops[q] = b.drops[q].load()
-		dst.Rx[q] = b.rx[q].load()
-		dst.Tries[q] = b.tries[q].load()
-		dst.BusyTr[q] = b.busyTry[q].load()
-		dst.PubSeq[q] = b.pub[q].load()
+	for g, slots := range b.gauges {
+		dst.Gauge[g] = sampleF(dst.Gauge[g], slots)
 	}
-	for t := 0; t < b.nt; t++ {
-		dst.ThreadBusy[t] = b.busy[t].loadF()
-		dst.Heartbeat[t] = b.hb[t].loadF()
+	for c, slots := range b.counters {
+		v := sized(dst.Counter[c], len(slots))
+		for q := range v {
+			v[q] = slots[q].v.Load()
+		}
+		dst.Counter[c] = v
+	}
+	for g, slots := range b.threads {
+		dst.Thread[g] = sampleF(dst.Thread[g], slots)
 	}
 }
 
-func sizedF(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
+func sampleF(dst []float64, slots []slot) []float64 {
+	dst = sized(dst, len(slots))
+	for i := range dst {
+		dst[i] = slots[i].loadF()
 	}
-	return s[:n]
+	return dst
 }
 
-func sizedU(s []uint64, n int) []uint64 {
+func sized[T float64 | uint64](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }

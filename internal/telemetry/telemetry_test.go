@@ -12,112 +12,150 @@ func TestGaugesAndCounters(t *testing.T) {
 	if b.Queues() != 2 || b.Threads() != 3 {
 		t.Fatalf("shape = %d queues / %d threads", b.Queues(), b.Threads())
 	}
-	b.SetOccupancy(0, 17.5)
-	b.SetCapacity(0, 4096)
-	b.SetRho(1, 0.42)
-	b.SetDrops(0, 100)
-	b.AddDrops(0, 5)
-	b.AddRx(1, 7)
-	b.SetTries(1, 9)
-	b.AddBusyTries(1, 2)
-	b.SetThreadBusy(2, 1.5)
-	if got := b.Occupancy(0); got != 17.5 {
+	b.Set(Occupancy, 0, 17.5)
+	b.Set(Capacity, 0, 4096)
+	b.Set(Rho, 1, 0.42)
+	b.Store(Drops, 0, 100)
+	b.Add(Drops, 0, 5)
+	b.Add(Rx, 1, 7)
+	b.Store(Tries, 1, 9)
+	b.Add(BusyTries, 1, 2)
+	b.SetThread(BusySeconds, 2, 1.5)
+	if got := b.Get(Occupancy, 0); got != 17.5 {
 		t.Errorf("occupancy = %v", got)
 	}
-	if got := b.Capacity(0); got != 4096 {
+	if got := b.Get(Capacity, 0); got != 4096 {
 		t.Errorf("capacity = %v", got)
 	}
-	if got := b.Rho(1); got != 0.42 {
+	if got := b.Get(Rho, 1); got != 0.42 {
 		t.Errorf("rho = %v", got)
 	}
-	if got := b.Drops(0); got != 105 {
+	if got := b.Load(Drops, 0); got != 105 {
 		t.Errorf("drops = %v", got)
 	}
-	if got := b.Rx(1); got != 7 {
+	if got := b.Load(Rx, 1); got != 7 {
 		t.Errorf("rx = %v", got)
 	}
-	if got := b.Tries(1); got != 9 {
+	if got := b.Load(Tries, 1); got != 9 {
 		t.Errorf("tries = %v", got)
 	}
-	if got := b.BusyTries(1); got != 2 {
+	if got := b.Load(BusyTries, 1); got != 2 {
 		t.Errorf("busy tries = %v", got)
 	}
-	if got := b.ThreadBusy(2); got != 1.5 {
-		t.Errorf("thread busy = %v", got)
+	if got, alias := b.Thread(BusySeconds, 2), b.ThreadBusy(2); got != 1.5 || alias != got {
+		t.Errorf("thread busy = %v (ThreadBusy %v)", got, alias)
+	}
+}
+
+// Every row of the table is filled in, and no two rows share a name: the
+// exposition, expvar and metrotop key on it.
+func TestSeriesTable(t *testing.T) {
+	rows := append(append(append([]Series{}, Gauges[:]...), Counters[:]...), ThreadGauges[:]...)
+	rows = append(rows, Latency)
+	seen := map[string]bool{}
+	for _, s := range rows {
+		if s.Name == "" || s.Help == "" || (s.Type != "gauge" && s.Type != "counter" && s.Type != "histogram") {
+			t.Errorf("incomplete row %+v", s)
+		}
+		if seen[s.Name] {
+			t.Errorf("duplicate series name %q", s.Name)
+		}
+		seen[s.Name] = true
 	}
 }
 
 func TestOccSlopeGauge(t *testing.T) {
 	b := NewBus(2, 4)
-	b.SetOccSlope(0, 12.5)
-	b.SetOccSlope(1, -3.25)
-	if b.OccSlope(0) != 12.5 || b.OccSlope(1) != -3.25 {
-		t.Fatalf("slope gauges: %v %v", b.OccSlope(0), b.OccSlope(1))
+	b.Set(OccSlope, 0, 12.5)
+	b.Set(OccSlope, 1, -3.25)
+	if b.Get(OccSlope, 0) != 12.5 || b.Get(OccSlope, 1) != -3.25 {
+		t.Fatalf("slope gauges: %v %v", b.Get(OccSlope, 0), b.Get(OccSlope, 1))
 	}
 	var s Snapshot
 	b.Sample(&s)
-	if s.OccSlope[0] != 12.5 || s.OccSlope[1] != -3.25 {
-		t.Fatalf("snapshot slopes: %v", s.OccSlope)
+	if s.Gauge[OccSlope][0] != 12.5 || s.Gauge[OccSlope][1] != -3.25 {
+		t.Fatalf("snapshot slopes: %v", s.Gauge[OccSlope])
 	}
 }
 
 func TestThreadSlotsBeyondBudgetAreDropped(t *testing.T) {
 	b := NewBus(1, 2)
-	b.SetThreadBusy(5, 3.0) // must not panic
-	if got := b.ThreadBusy(5); got != 0 {
+	b.SetThread(BusySeconds, 5, 3.0) // must not panic
+	if got := b.Thread(BusySeconds, 5); got != 0 {
 		t.Errorf("out-of-budget slot = %v, want 0", got)
 	}
 }
 
+// Sample fills every slot of every family, each from its own id.
 func TestSampleFillsSnapshot(t *testing.T) {
-	b := NewBus(2, 2)
-	b.SetOccupancy(1, 3)
-	b.SetRho(0, 0.9)
-	b.AddDrops(1, 11)
-	b.SetThreadBusy(0, 0.25)
+	b := NewBus(2, 3)
+	for g := range Gauges {
+		for q := 0; q < 2; q++ {
+			b.Set(Gauge(g), q, float64(10*g+q)+0.5)
+		}
+	}
+	for c := range Counters {
+		for q := 0; q < 2; q++ {
+			b.Store(Counter(c), q, uint64(100*c+q))
+		}
+	}
+	for g := range ThreadGauges {
+		for th := 0; th < 3; th++ {
+			b.SetThread(ThreadGauge(g), th, float64(1000*g+th))
+		}
+	}
 	var s Snapshot
 	b.Sample(&s)
-	if len(s.Occ) != 2 || len(s.ThreadBusy) != 2 {
-		t.Fatalf("snapshot shape: %d occ, %d busy", len(s.Occ), len(s.ThreadBusy))
+	for g, vals := range s.Gauge {
+		if len(vals) != 2 || vals[0] != float64(10*g)+0.5 || vals[1] != float64(10*g+1)+0.5 {
+			t.Errorf("gauge %s: %v", Gauges[g].Name, vals)
+		}
 	}
-	if s.Occ[1] != 3 || s.Rho[0] != 0.9 || s.Drops[1] != 11 || s.ThreadBusy[0] != 0.25 {
-		t.Errorf("snapshot = %+v", s)
+	for c, vals := range s.Counter {
+		if len(vals) != 2 || vals[0] != uint64(100*c) || vals[1] != uint64(100*c+1) {
+			t.Errorf("counter %s: %v", Counters[c].Name, vals)
+		}
+	}
+	for g, vals := range s.Thread {
+		if len(vals) != 3 || vals[2] != float64(1000*g+2) {
+			t.Errorf("thread gauge %s: %v", ThreadGauges[g].Name, vals)
+		}
 	}
 }
 
 func TestHeartbeatGauge(t *testing.T) {
 	b := NewBus(1, 2)
-	if b.Heartbeat(0) != 0 {
+	if b.Thread(Heartbeat, 0) != 0 {
 		t.Fatal("fresh heartbeat not zero")
 	}
-	b.SetHeartbeat(0, 1.25)
-	b.SetHeartbeat(1, 2.5)
-	b.SetHeartbeat(9, 99) // beyond budget: dropped, not faulted
-	if b.Heartbeat(0) != 1.25 || b.Heartbeat(1) != 2.5 || b.Heartbeat(9) != 0 {
-		t.Fatalf("heartbeats: %v %v %v", b.Heartbeat(0), b.Heartbeat(1), b.Heartbeat(9))
+	b.SetThread(Heartbeat, 0, 1.25)
+	b.SetThread(Heartbeat, 1, 2.5)
+	b.SetThread(Heartbeat, 9, 99) // beyond budget: dropped, not faulted
+	if b.Thread(Heartbeat, 0) != 1.25 || b.Thread(Heartbeat, 1) != 2.5 || b.Thread(Heartbeat, 9) != 0 {
+		t.Fatalf("heartbeats: %v %v %v", b.Thread(Heartbeat, 0), b.Thread(Heartbeat, 1), b.Thread(Heartbeat, 9))
 	}
 	var s Snapshot
 	b.Sample(&s)
-	if len(s.Heartbeat) != 2 || s.Heartbeat[1] != 2.5 {
-		t.Fatalf("snapshot heartbeat: %v", s.Heartbeat)
+	if hb := s.Thread[Heartbeat]; len(hb) != 2 || hb[1] != 2.5 {
+		t.Fatalf("snapshot heartbeat: %v", hb)
 	}
 }
 
 func TestPubSeqCounter(t *testing.T) {
 	b := NewBus(2, 1)
-	if b.PubSeq(0) != 0 {
+	if b.Load(PubSeq, 0) != 0 {
 		t.Fatal("fresh pub seq not zero")
 	}
-	b.BumpPub(0)
-	b.BumpPub(0)
-	b.BumpPub(1)
-	if b.PubSeq(0) != 2 || b.PubSeq(1) != 1 {
-		t.Fatalf("pub seqs: %d %d", b.PubSeq(0), b.PubSeq(1))
+	b.Add(PubSeq, 0, 1)
+	b.Add(PubSeq, 0, 1)
+	b.Add(PubSeq, 1, 1)
+	if b.Load(PubSeq, 0) != 2 || b.Load(PubSeq, 1) != 1 {
+		t.Fatalf("pub seqs: %d %d", b.Load(PubSeq, 0), b.Load(PubSeq, 1))
 	}
 	var s Snapshot
 	b.Sample(&s)
-	if s.PubSeq[0] != 2 || s.PubSeq[1] != 1 {
-		t.Fatalf("snapshot pub seqs: %v", s.PubSeq)
+	if seq := s.Counter[PubSeq]; seq[0] != 2 || seq[1] != 1 {
+		t.Fatalf("snapshot pub seqs: %v", seq)
 	}
 }
 
@@ -128,12 +166,12 @@ func TestPublishAndSampleAllocationFree(t *testing.T) {
 	var s Snapshot
 	b.Sample(&s) // warm the snapshot buffers
 	allocs := testing.AllocsPerRun(100, func() {
-		b.SetOccupancy(2, 99)
-		b.AddDrops(2, 1)
-		b.SetRho(2, 0.5)
-		b.SetThreadBusy(3, 1)
-		b.SetHeartbeat(3, 1)
-		b.BumpPub(2)
+		b.Set(Occupancy, 2, 99)
+		b.Add(Drops, 2, 1)
+		b.Set(Rho, 2, 0.5)
+		b.SetThread(BusySeconds, 3, 1)
+		b.SetThread(Heartbeat, 3, 1)
+		b.Add(PubSeq, 2, 1)
 		b.Sample(&s)
 	})
 	if allocs != 0 {
@@ -150,10 +188,10 @@ func TestConcurrentPublishSample(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				b.SetOccupancy(w, float64(i))
-				b.AddTries(w, 1)
-				b.AddBusyTries(w, 1)
-				b.SetThreadBusy(w, float64(i))
+				b.Set(Occupancy, w, float64(i))
+				b.Add(Tries, w, 1)
+				b.Add(BusyTries, w, 1)
+				b.SetThread(BusySeconds, w, float64(i))
 			}
 		}(w)
 	}
@@ -167,8 +205,8 @@ func TestConcurrentPublishSample(t *testing.T) {
 	}()
 	wg.Wait()
 	for w := 0; w < 4; w++ {
-		if b.Tries(w) != 2000 {
-			t.Errorf("queue %d tries = %d, want 2000", w, b.Tries(w))
+		if b.Load(Tries, w) != 2000 {
+			t.Errorf("queue %d tries = %d, want 2000", w, b.Load(Tries, w))
 		}
 	}
 }
@@ -257,20 +295,20 @@ func TestLatencyHistogramAllocationFree(t *testing.T) {
 
 func TestOccAvgAndArrivalRateGauges(t *testing.T) {
 	b := NewBus(2, 1)
-	b.SetOccAvg(0, 17.5)
-	b.SetArrivalRate(1, 2.5e6)
-	if got := b.OccAvg(0); got != 17.5 {
+	b.Set(OccAvg, 0, 17.5)
+	b.Set(ArrivalRate, 1, 2.5e6)
+	if got := b.Get(OccAvg, 0); got != 17.5 {
 		t.Errorf("OccAvg = %v", got)
 	}
-	if got := b.OccAvg(1); got != 0 {
+	if got := b.Get(OccAvg, 1); got != 0 {
 		t.Errorf("OccAvg(1) = %v, want 0", got)
 	}
-	if got := b.ArrivalRate(1); got != 2.5e6 {
+	if got := b.Get(ArrivalRate, 1); got != 2.5e6 {
 		t.Errorf("ArrivalRate = %v", got)
 	}
 	var s Snapshot
 	b.Sample(&s)
-	if s.OccAvg[0] != 17.5 || s.Rate[1] != 2.5e6 {
-		t.Errorf("snapshot missed the new gauges: %v %v", s.OccAvg, s.Rate)
+	if s.Gauge[OccAvg][0] != 17.5 || s.Gauge[ArrivalRate][1] != 2.5e6 {
+		t.Errorf("snapshot missed the new gauges: %v %v", s.Gauge[OccAvg], s.Gauge[ArrivalRate])
 	}
 }

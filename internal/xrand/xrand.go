@@ -8,7 +8,10 @@
 // makes every simulation bit-reproducible from its seed.
 package xrand
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Rand is a xoshiro256++ pseudo-random generator. It is NOT safe for
 // concurrent use; give each simulated entity its own stream via Split.
@@ -92,27 +95,15 @@ func (r *Rand) Intn(n int) int {
 	// Lemire's nearly-divisionless bounded rejection sampling.
 	un := uint64(n)
 	x := r.Uint64()
-	hi, lo := mul64(x, un)
+	hi, lo := bits.Mul64(x, un)
 	if lo < un {
 		thresh := (-un) % un
 		for lo < thresh {
 			x = r.Uint64()
-			hi, lo = mul64(x, un)
+			hi, lo = bits.Mul64(x, un)
 		}
 	}
 	return int(hi)
-}
-
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	x0, x1 := x&mask32, x>>32
-	y0, y1 := y&mask32, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask32 + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
 }
 
 // ExpFloat64 returns an exponentially distributed value with mean 1,

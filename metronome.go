@@ -236,10 +236,11 @@ func PolicyNames() []string { return sched.Names() }
 // the controller loop: go ctrl.Run(ctx).
 type (
 	// TelemetryBus is the lock-free fixed-slot telemetry plane both
-	// substrates publish into (per-queue occupancy/rho/loss counters,
-	// per-thread duty) and the elastic controller samples.
+	// substrates publish into and the elastic controller samples; its
+	// series are keyed by the Telemetry* ids below.
 	TelemetryBus = telemetry.Bus
-	// TelemetrySnapshot is a caller-owned sample of a whole bus.
+	// TelemetrySnapshot is a caller-owned sample of a whole bus, indexed
+	// by the same ids.
 	TelemetrySnapshot = telemetry.Snapshot
 	// LatencyHistogram is the fidelity plane's fixed-bucket log-scale
 	// histogram: both substrates record every packet's retrieval latency
@@ -285,6 +286,28 @@ const (
 	// when the energy model says a release pays, while the loss override
 	// still forces growth when packets drop.
 	ElasticObjectiveJoules = elastic.ObjectiveJoules
+)
+
+// The telemetry series ids: the keys a TelemetryBus takes in Set/Get
+// (per-queue gauges), Add/Store/Load (per-queue counters) and
+// SetThread/Thread (per-thread gauges), and the indices of a
+// TelemetrySnapshot's Gauge, Counter and Thread arrays. A producer that
+// drops packets on a full ring reports them with
+// bus.Add(metronome.TelemetryDrops, q, n).
+const (
+	TelemetryOccupancy   = telemetry.Occupancy
+	TelemetryOccAvg      = telemetry.OccAvg
+	TelemetryCapacity    = telemetry.Capacity
+	TelemetryRho         = telemetry.Rho
+	TelemetryOccSlope    = telemetry.OccSlope
+	TelemetryArrivalRate = telemetry.ArrivalRate
+	TelemetryDrops       = telemetry.Drops
+	TelemetryRx          = telemetry.Rx
+	TelemetryTries       = telemetry.Tries
+	TelemetryBusyTries   = telemetry.BusyTries
+	TelemetryPubSeq      = telemetry.PubSeq
+	TelemetryBusySeconds = telemetry.BusySeconds
+	TelemetryHeartbeat   = telemetry.Heartbeat
 )
 
 // NewTelemetryBus builds a bus over nQueues queues and maxThreads thread

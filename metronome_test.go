@@ -336,6 +336,7 @@ func TestPublicObservabilityAPI(t *testing.T) {
 	// The exposition handler serves the recorder's counters over HTTP.
 	bus := metronome.NewTelemetryBus(1, 2)
 	bus.RecordLatency(0, 1000)
+	bus.Add(metronome.TelemetryDrops, 0, 3)
 	h := metronome.NewMetricsHandler(metronome.MetricsOptions{Bus: bus, Recorder: rec})
 	srv := httptest.NewServer(h)
 	defer srv.Close()
@@ -352,6 +353,7 @@ func TestPublicObservabilityAPI(t *testing.T) {
 		`metronome_events_total{kind="fault"}`,
 		`metronome_events_total{kind="exile"}`,
 		"metronome_queue_latency_seconds_bucket",
+		`metronome_queue_drops_total{queue="0"} 3`,
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("exposition missing %s", want)
