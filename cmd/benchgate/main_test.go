@@ -1,8 +1,10 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -25,29 +27,30 @@ func TestCommittedBaselinesParse(t *testing.T) {
 	}
 }
 
-// TestParseBaseline is the accept/reject table for baseline files: legal and
-// illegal rows side by side, rejects checked for the word that tells the
-// author what to fix.
+// parseBaselineRows are the legal and illegal baseline files side by side.
+var parseBaselineRows = []struct {
+	name, input string
+	ok          bool
+	wantGates   int
+	wantGuard   float64 // of gates[0]
+	errHas      string
+}{
+	{"legal array", `{"gates":[{"benchmark":"BenchmarkA","max_allocs_per_op":0,"ns_per_op_ref":10,"time_guard_factor":4}]}`, true, 1, 4, ""},
+	{"two gates, unknown keys ignored", `{"notes":["x"],"gates":[{"benchmark":"BenchmarkA","time_guard_factor":2,"command":"go test"},{"benchmark":"BenchmarkB"}]}`, true, 2, 2, ""},
+	{"zero guard factor takes the default", `{"gates":[{"benchmark":"BenchmarkA","ns_per_op_ref":10,"time_guard_factor":0}]}`, true, 1, defaultGuard, ""},
+	{"absent guard factor takes the default", `{"gates":[{"benchmark":"BenchmarkA"}]}`, true, 1, defaultGuard, ""},
+	{"legacy gate object", `{"gate":{"benchmark":"BenchmarkA","max_allocs_per_op":86}}`, false, 0, 0, `"gate"`},
+	{"legacy gate object beside an array", `{"gate":{"benchmark":"BenchmarkA"},"gates":[{"benchmark":"BenchmarkB"}]}`, false, 0, 0, `"gate"`},
+	{"empty gates", `{"gates":[]}`, false, 0, 0, `"gates"`},
+	{"no gates key", `{"benchmark":"BenchmarkA"}`, false, 0, 0, `"gates"`},
+	{"malformed JSON", `{"gates":[{"benchmark":`, false, 0, 0, "unexpected end"},
+	{"gates of the wrong type", `{"gates":{"benchmark":"BenchmarkA"}}`, false, 0, 0, "cannot unmarshal"},
+}
+
+// TestParseBaseline is the accept/reject table for baseline files, rejects
+// checked for the word that tells the author what to fix.
 func TestParseBaseline(t *testing.T) {
-	tests := []struct {
-		name, input string
-		ok          bool
-		wantGates   int
-		wantGuard   float64 // of gates[0]
-		errHas      string
-	}{
-		{"legal array", `{"gates":[{"benchmark":"BenchmarkA","max_allocs_per_op":0,"ns_per_op_ref":10,"time_guard_factor":4}]}`, true, 1, 4, ""},
-		{"two gates, unknown keys ignored", `{"notes":["x"],"gates":[{"benchmark":"BenchmarkA","time_guard_factor":2,"command":"go test"},{"benchmark":"BenchmarkB"}]}`, true, 2, 2, ""},
-		{"zero guard factor takes the default", `{"gates":[{"benchmark":"BenchmarkA","ns_per_op_ref":10,"time_guard_factor":0}]}`, true, 1, defaultGuard, ""},
-		{"absent guard factor takes the default", `{"gates":[{"benchmark":"BenchmarkA"}]}`, true, 1, defaultGuard, ""},
-		{"legacy gate object", `{"gate":{"benchmark":"BenchmarkA","max_allocs_per_op":86}}`, false, 0, 0, `"gate"`},
-		{"legacy gate object beside an array", `{"gate":{"benchmark":"BenchmarkA"},"gates":[{"benchmark":"BenchmarkB"}]}`, false, 0, 0, `"gate"`},
-		{"empty gates", `{"gates":[]}`, false, 0, 0, `"gates"`},
-		{"no gates key", `{"benchmark":"BenchmarkA"}`, false, 0, 0, `"gates"`},
-		{"malformed JSON", `{"gates":[{"benchmark":`, false, 0, 0, "unexpected end"},
-		{"gates of the wrong type", `{"gates":{"benchmark":"BenchmarkA"}}`, false, 0, 0, "cannot unmarshal"},
-	}
-	for _, tc := range tests {
+	for _, tc := range parseBaselineRows {
 		gates, err := parseBaseline([]byte(tc.input))
 		if !tc.ok {
 			if err == nil {
@@ -65,6 +68,37 @@ func TestParseBaseline(t *testing.T) {
 			t.Errorf("%s: got %d gates, guard %v; want %d, %v", tc.name, len(gates), gates[0].TimeGuardFactor, tc.wantGates, tc.wantGuard)
 		}
 	}
+}
+
+// FuzzParseBaseline: any bytes either fail to parse or yield at least one
+// gate, every gate with a positive guard factor, and the parsed gates
+// re-encode as a "gates" array that parses back to themselves.
+func FuzzParseBaseline(f *testing.F) {
+	for _, tc := range parseBaselineRows {
+		f.Add([]byte(tc.input))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		gates, err := parseBaseline(raw)
+		if err != nil {
+			return
+		}
+		if len(gates) == 0 {
+			t.Fatal("accepted a baseline with no gates")
+		}
+		for _, g := range gates {
+			if !(g.TimeGuardFactor > 0) {
+				t.Fatalf("gate %q has guard factor %v", g.Benchmark, g.TimeGuardFactor)
+			}
+		}
+		again, err := json.Marshal(map[string][]gate{"gates": gates})
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := parseBaseline(again)
+		if err != nil || !reflect.DeepEqual(back, gates) {
+			t.Fatalf("round trip: %+v (%v), want %+v", back, err, gates)
+		}
+	})
 }
 
 // TestEvaluate judges hand-built sample sets: every failing row names its

@@ -7,6 +7,9 @@
 //	metrobench -run all -quick
 //
 // Output is the same rows/series the paper reports, as aligned text tables.
+// The registry runs as written: every experiment pins its own deployments.
+// To explore one deployment under another policy, elastic tuning, ring size
+// or objective, use metrosim.
 //
 // -pprof-addr serves net/http/pprof on its own listener while the sweeps
 // run (off by default) — profile a long -run all the same way a production
@@ -19,27 +22,19 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"strings"
 
 	"metronome/internal/experiments"
-	"metronome/internal/sched"
 )
 
 func main() {
 	var (
-		run       = flag.String("run", "", "experiment ID (tab1, fig10, ...) or 'all'")
-		list      = flag.Bool("list", false, "list available experiments")
-		quick     = flag.Bool("quick", false, "shrink durations ~10x for a smoke run")
-		seed      = flag.Uint64("seed", 42, "experiment seed (runs are deterministic per seed)")
-		policy    = flag.String("policy", "", "re-run deployments under this scheduling discipline: "+strings.Join(sched.Names(), "|"))
-		elastic   = flag.Bool("elastic", false, "attach the elastic control plane (default tuning, 2M budget) to deployments on the common single-queue path")
-		placement = flag.Bool("placement", false, "upgrade -elastic to the placement plane (per-queue apportionment + slope feedforward) on the common single-queue path; implies -elastic")
-		capacity  = flag.Int64("cap", 0, "override the Rx descriptor-ring capacity for deployments on the common single-queue path that do not pin their own (0 = nic default 576)")
-		parallel  = flag.Int("parallel", 0, "simulations to run concurrently per sweep (0 = GOMAXPROCS); output is identical at any setting")
-		objective = flag.String("objective", "", "override the elastic cost objective for experiments that attach the controller: thread-seconds|joules")
-		hist      = flag.Bool("hist", true, "render the exact log-scale latency-tail panels for experiments that publish them (-hist=false drops them)")
-		doc       = flag.Bool("doc", false, "print the EXPERIMENTS.md paper-vs-measured skeleton and exit")
-		ppaddr    = flag.String("pprof-addr", "", "serve net/http/pprof while experiments run (off by default)")
+		run      = flag.String("run", "", "experiment ID (tab1, fig10, ...) or 'all'")
+		list     = flag.Bool("list", false, "list available experiments")
+		quick    = flag.Bool("quick", false, "shrink durations ~10x for a smoke run")
+		seed     = flag.Uint64("seed", 42, "experiment seed (runs are deterministic per seed)")
+		parallel = flag.Int("parallel", 0, "simulations to run concurrently per sweep (0 = GOMAXPROCS); output is identical at any setting")
+		doc      = flag.Bool("doc", false, "print the EXPERIMENTS.md paper-vs-measured skeleton and exit")
+		ppaddr   = flag.String("pprof-addr", "", "serve net/http/pprof while experiments run (off by default)")
 	)
 	flag.Parse()
 
@@ -62,26 +57,6 @@ func main() {
 		return
 	}
 
-	if *policy != "" {
-		if _, err := sched.New(*policy, sched.Config{}); err != nil {
-			fmt.Fprintf(os.Stderr, "metrobench: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if *objective != "" && *objective != "thread-seconds" && *objective != "joules" {
-		fmt.Fprintf(os.Stderr, "metrobench: -objective must be thread-seconds or joules, not %q\n", *objective)
-		os.Exit(1)
-	}
-	if *placement {
-		// Per-queue apportionment only lands for placement-capable
-		// policies; every other deployment degrades to the scalar size
-		// law plus the slope feedforward. Say so instead of letting the
-		// flag silently under-deliver (metrosim rejects the combination
-		// outright; the sweep harness keeps running because experiments
-		// pin their own policies per arm).
-		fmt.Fprintln(os.Stderr, "metrobench: note: -placement engages per-queue apportionment only where the deployment's policy can place (rmetronome|worksteal); other deployments run the scalar size law with the slope feedforward")
-	}
-
 	if *list || *run == "" {
 		fmt.Println("available experiments:")
 		for _, e := range experiments.All() {
@@ -94,11 +69,7 @@ func main() {
 		return
 	}
 
-	opts := experiments.Options{
-		Quick: *quick, Seed: *seed, Policy: *policy,
-		Elastic: *elastic, Placement: *placement, RingCap: *capacity,
-		Parallel: *parallel, Objective: *objective, NoHist: !*hist,
-	}
+	opts := experiments.Options{Quick: *quick, Seed: *seed, Parallel: *parallel}
 	if *run == "all" {
 		for _, e := range experiments.All() {
 			fmt.Printf("--- %s: %s ---\n", e.ID, e.Title)

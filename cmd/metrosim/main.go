@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"metronome"
-	"metronome/internal/core"
 	"metronome/internal/experiments"
 	"metronome/internal/sched"
 	"metronome/internal/trace"
@@ -35,8 +34,7 @@ func main() {
 		capacity = flag.Int64("cap", 0, "Rx descriptor-ring capacity per queue (0 = nic default 576; the elastic occupancy target is a fraction of this)")
 		d        = flag.Duration("dur", time.Second, "virtual duration to simulate")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
-		policy   = flag.String("policy", "", "scheduling discipline: "+strings.Join(sched.Names(), "|")+" (default adaptive)")
-		fixed    = flag.Duration("fixed-ts", 0, "use the fixed discipline with this TS (shorthand for -policy fixed)")
+		policy   = flag.String("policy", sched.NameAdaptive, "scheduling discipline: "+strings.Join(sched.Names(), "|")+" (fixed sleeps -vbar)")
 		doTrace  = flag.Bool("trace", false, "print a 1ms thread-state timeline (Fig 3 style)")
 		runs     = flag.Int("runs", 1, "independent replicas over seeds seed..seed+runs-1 (summary table + mean row)")
 		parallel = flag.Int("parallel", 0, "replicas to simulate concurrently (0 = GOMAXPROCS)")
@@ -52,6 +50,18 @@ func main() {
 	)
 	flag.Parse()
 
+	// core.New panics on these; reject them here with a message instead.
+	switch {
+	case *vbar < 0:
+		fail("-vbar must be >= 0, not %v", *vbar)
+	case *tl < 0:
+		fail("-tl must be >= 0, not %v", *tl)
+	case *mu <= 0:
+		fail("-mu must be > 0, not %v", *mu)
+	}
+	if _, err := sched.New(*policy, sched.Config{}); err != nil {
+		fail("%v", err)
+	}
 	pps := *mpps * 1e6
 	if *gbps > 0 {
 		pps = metronome.LineRate64B(*gbps)
@@ -63,41 +73,23 @@ func main() {
 	cfg.Mu = *mu * 1e6
 	cfg.RingCap = *capacity
 	cfg.Seed = *seed
-	if *fixed > 0 {
-		cfg.Adaptive = false
-		cfg.TSFixed = fixed.Seconds()
-		if *policy == "" {
-			cfg.Policy = sched.NameFixed
-		}
-	}
-	if *policy != "" {
-		if _, err := sched.New(*policy, sched.Config{}); err != nil {
-			fmt.Fprintf(os.Stderr, "metrosim: %v\n", err)
-			os.Exit(1)
-		}
-		cfg.Policy = *policy
-	}
+	cfg.Policy = *policy
 	if *queues < 1 || *m < *queues {
-		fmt.Fprintln(os.Stderr, "metrosim: need queues >= 1 and m >= queues")
-		os.Exit(1)
+		fail("need queues >= 1 and m >= queues")
 	}
 	if *placement && !*elastic {
-		fmt.Fprintln(os.Stderr, "metrosim: -placement requires -elastic")
-		os.Exit(1)
+		fail("-placement requires -elastic")
 	}
 	if *objective != "thread-seconds" && *objective != "joules" {
-		fmt.Fprintf(os.Stderr, "metrosim: -objective must be thread-seconds or joules, not %q\n", *objective)
-		os.Exit(1)
+		fail("-objective must be thread-seconds or joules, not %q", *objective)
 	}
 	if *placement {
 		// Plans only land per queue when the discipline binds placeable
 		// groups; against a roaming policy the controller would silently
 		// run the scalar law, so reject the combination outright.
-		probe := sched.MustNew(core.PolicyName(cfg), sched.Config{M: *m, N: *queues})
+		probe := sched.MustNew(cfg.Policy, sched.Config{M: *m, N: *queues})
 		if _, ok := probe.(sched.Rebalancer); !ok {
-			fmt.Fprintf(os.Stderr, "metrosim: -placement needs a placement-capable policy (rmetronome|worksteal), not %q\n",
-				core.PolicyName(cfg))
-			os.Exit(1)
+			fail("-placement needs a placement-capable policy (rmetronome|worksteal), not %q", cfg.Policy)
 		}
 	}
 	arrivals := make([]metronome.Traffic, *queues)
@@ -107,12 +99,10 @@ func main() {
 
 	if *runs > 1 {
 		if *doTrace {
-			fmt.Fprintln(os.Stderr, "metrosim: -trace applies to single runs only")
-			os.Exit(1)
+			fail("-trace applies to single runs only")
 		}
 		if *elastic {
-			fmt.Fprintln(os.Stderr, "metrosim: -elastic applies to single runs only")
-			os.Exit(1)
+			fail("-elastic applies to single runs only")
 		}
 		runReplicas(cfg, arrivals, *d, *runs, *parallel, pps, *queues)
 		return
@@ -140,7 +130,7 @@ func main() {
 		}
 		mode += " (" + *objective + ")"
 		fmt.Printf("offered:        %.2f Mpps over %d queue(s), %v, policy %s, %s %d..%d\n",
-			pps/1e6, *queues, *d, core.PolicyName(cfg), mode, ecfg.MinThreads, ecfg.Budget)
+			pps/1e6, *queues, *d, cfg.Policy, mode, ecfg.MinThreads, ecfg.Budget)
 		fmt.Printf("throughput:     %.2f Mpps   loss: %.4f permille\n", met.ThroughputPPS/1e6, met.LossRate*1000)
 		fmt.Printf("cpu:            %.1f%% total\n", met.CPUPercent)
 		fmt.Printf("vacation:       mean %.2f us (target %v)\n", met.MeanVacation*1e6, *vbar)
@@ -172,7 +162,7 @@ func main() {
 	}
 
 	fmt.Printf("offered:        %.2f Mpps over %d queue(s), %v, policy %s\n",
-		pps/1e6, *queues, *d, core.PolicyName(cfg))
+		pps/1e6, *queues, *d, cfg.Policy)
 	fmt.Printf("throughput:     %.2f Mpps   loss: %.4f permille\n", met.ThroughputPPS/1e6, met.LossRate*1000)
 	fmt.Printf("cpu:            %.1f%% total across %d threads (static polling would be %d00%%)\n",
 		met.CPUPercent, *m, *queues)
@@ -207,7 +197,7 @@ func runReplicas(cfg metronome.SimConfig, arrivals []metronome.Traffic, d time.D
 	})
 
 	fmt.Printf("offered:  %.2f Mpps over %d queue(s), %v x %d seeds, policy %s, %d worker(s)\n",
-		pps/1e6, queues, d, runs, core.PolicyName(cfg), workers)
+		pps/1e6, queues, d, runs, cfg.Policy, workers)
 	fmt.Printf("%-6s %10s %9s %9s %10s %12s %12s\n",
 		"seed", "tput_mpps", "cpu_pct", "V_us", "lat_us", "busy_tries%", "loss_permille")
 	var tput, cpu, vac, lat, bt, loss float64
@@ -225,4 +215,10 @@ func runReplicas(cfg metronome.SimConfig, arrivals []metronome.Traffic, d time.D
 	n := float64(runs)
 	fmt.Printf("%-6s %10.2f %9.1f %9.2f %10.2f %12.1f %12.4f\n",
 		"mean", tput/n/1e6, cpu/n, vac/n*1e6, lat/n*1e6, bt/n*100, loss/n*1000)
+}
+
+// fail reports a usage error and exits 1.
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "metrosim: "+format+"\n", args...)
+	os.Exit(1)
 }

@@ -51,8 +51,9 @@ func TestLiveFrameFromMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// Trace mode folds a WriteText dump into the post-mortem frame.
-func TestTracePostMortem(t *testing.T) {
+// traceDump is a WriteText dump of a decision, an exile, a safe-mode entry
+// and a panic.
+func traceDump(tb testing.TB) string {
 	rec := obsv.NewRecorder(64)
 	rec.RecordDecision(0.001, 4, 4, 0x0103, 0.5, 0, 16, true, false, false)
 	rec.RecordExile(0.002, 1)
@@ -60,9 +61,14 @@ func TestTracePostMortem(t *testing.T) {
 	rec.RecordPanic(0.004, "boom", "stack")
 	var dump strings.Builder
 	if err := rec.WriteText(&dump); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	out, err := renderTrace(strings.NewReader(dump.String()))
+	return dump.String()
+}
+
+// Trace mode folds a WriteText dump into the post-mortem frame.
+func TestTracePostMortem(t *testing.T) {
+	out, err := renderTrace(strings.NewReader(traceDump(t)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,5 +133,45 @@ func FuzzRenderScrape(f *testing.F) {
 	f.Add(`metronome_safe_mode 1` + "\n" + `metronome_events_total{kind="exile"} 2`)
 	f.Fuzz(func(t *testing.T, body string) {
 		_, _ = renderScrape(strings.NewReader(body), "metronome", "t")
+	})
+}
+
+// FuzzParseTraceText: any text parses without panicking into lines that
+// each came from a "[seq]"-prefixed input line, re-parsing those lines
+// yields them again, and the post-mortem renders.
+func FuzzParseTraceText(f *testing.F) {
+	dump := traceDump(f)
+	f.Add(dump)
+	for _, cut := range []int{1, len(dump) / 3, len(dump) / 2, len(dump) - 1} {
+		f.Add(dump[:cut])
+	}
+	f.Add("[1] t=\n[2]\n[3] t=0.5\n[ t=1 x\npanic[")
+	f.Fuzz(func(t *testing.T, text string) {
+		lines, panics, err := parseTraceText(strings.NewReader(text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if panics < 0 || len(lines)+panics > strings.Count(text, "\n")+1 {
+			t.Fatalf("%d lines and %d panics from %d input lines", len(lines), panics, strings.Count(text, "\n")+1)
+		}
+		var raws []string
+		for _, ln := range lines {
+			if !strings.HasPrefix(ln.raw, "[") || ln.kind == "" || !strings.Contains(text, ln.raw) {
+				t.Fatalf("parsed line %+v is not an event line of the input", ln)
+			}
+			raws = append(raws, ln.raw)
+		}
+		again, _, err := parseTraceText(strings.NewReader(strings.Join(raws, "\n")))
+		if err != nil || len(again) != len(lines) {
+			t.Fatalf("re-parse of %d event lines gave %d (%v)", len(lines), len(again), err)
+		}
+		for i := range again {
+			if again[i].kind != lines[i].kind || again[i].raw != lines[i].raw {
+				t.Fatalf("re-parse line %d: %+v, want %+v", i, again[i], lines[i])
+			}
+		}
+		if _, err := renderTrace(strings.NewReader(text)); err != nil {
+			t.Fatal(err)
+		}
 	})
 }

@@ -33,7 +33,9 @@ import (
 type Config struct {
 	// M is the number of retrieval threads (paper default 3 single-queue).
 	M int
-	// VBar is the target mean vacation period (10 us in most experiments).
+	// VBar is the target mean vacation period (10 us in most experiments);
+	// the fixed discipline sleeps it on every wake. Zero is legal: the
+	// zero-timeout poller.
 	VBar float64
 	// TL is the backup threads' long timeout (500 us in the paper).
 	TL float64
@@ -43,32 +45,18 @@ type Config struct {
 	// FreqScale multiplies Mu to express a frequency-scaled core
 	// (ondemand governor); 1.0 at nominal.
 	FreqScale float64
-	// MuSigma is the per-cycle relative noise on the service rate (cache
-	// misses, batch granularity, DMA contention). The paper leans on this
-	// variability for thread decorrelation (Sec. IV-B.2).
-	MuSigma float64
-	// Alpha is the EWMA smoothing of the load estimator (eq. 11).
-	Alpha float64
 	// Policy names the scheduling discipline from the sched registry
 	// ("adaptive", "fixed", "busypoll", "rmetronome", "worksteal", or an
-	// application-registered name). Empty falls back to the legacy
-	// Adaptive/TSFixed fields.
+	// application-registered name); empty means adaptive. The policy name
+	// is the only selector: the fixed discipline sleeps VBar.
 	// Like the other Config validations, an unknown name panics in New;
 	// pre-validate user-supplied names with sched.New / PolicyNames.
 	Policy string
-	// Adaptive selects eq. (13)/(14); when false every thread sleeps the
-	// fixed TSFixed (the equal-timeout strawman of Fig 6, or the TS=TL
-	// configuration of Fig 4). Consulted only when Policy is empty.
-	Adaptive bool
-	TSFixed  float64
 	// PollCost is the CPU time of one empty rx_burst call.
 	PollCost float64
 	// WakeCost is the CPU time consumed by every wakeup (syscall return,
 	// trylock, re-arm) on top of any draining work.
 	WakeCost float64
-	// MaxSlice bounds one fluid service slice, so overload and rate
-	// changes are sampled at this granularity.
-	MaxSlice float64
 	// Sleep selects the sleep-service latency model.
 	Sleep hrtimer.Service
 	// Wake shapes scheduler wake-up delays.
@@ -141,6 +129,17 @@ type Tracer interface {
 	Sleep(t float64, thread int, req float64, backup bool)
 }
 
+// The twin's modelling constants.
+const (
+	// MuSigma is the per-slice relative noise on the service rate (cache
+	// misses, batch granularity, DMA contention). The paper leans on this
+	// variability for thread decorrelation (Sec. IV-B.2).
+	MuSigma = 0.08
+	// MaxSlice bounds one fluid service slice in seconds, so overload and
+	// rate changes are sampled at this granularity.
+	MaxSlice = 200e-6
+)
+
 // DefaultConfig mirrors the paper's single-queue tuning: V̄=10us, TL=500us,
 // M=3, hr_sleep, adaptive.
 func DefaultConfig() Config {
@@ -150,12 +149,8 @@ func DefaultConfig() Config {
 		TL:        500e-6,
 		Mu:        29.76e6, // l3fwd-LPM retrieval rate at 2.1 GHz (see apps)
 		FreqScale: 1,
-		MuSigma:   0.08,
-		Alpha:     0.125,
-		Adaptive:  true,
 		PollCost:  0.2e-6,
 		WakeCost:  1.5e-6,
-		MaxSlice:  200e-6,
 		Sleep:     hrtimer.HRSleep,
 		Wake:      cpu.DefaultWakeConfig(),
 	}
@@ -228,9 +223,9 @@ type Runtime struct {
 	occIntAt   []float64
 
 	// Counters matching the paper's metrics.
-	Tries     stats.Counter // trylock attempts
-	BusyTries stats.Counter // failed attempts (queue already owned)
-	Cycles    stats.Counter // completed service cycles
+	Tries     int64 // trylock attempts
+	BusyTries int64 // failed attempts (queue already owned)
+	Cycles    int64 // completed service cycles
 	// Per-queue splits of the same counters (Table III).
 	TriesQ     []int64
 	BusyTriesQ []int64
@@ -250,7 +245,8 @@ type Runtime struct {
 	snapLat     stats.Sample
 }
 
-// New builds a runtime over queues; the engine clock must be at zero.
+// New builds a runtime over queues; the engine clock must be at zero. It
+// panics on a configuration no run could execute.
 func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 	if cfg.M < 1 {
 		panic("core: need at least one thread")
@@ -262,11 +258,20 @@ func New(eng *sim.Engine, queues []*nic.Queue, cfg Config) *Runtime {
 		// Sec. IV-E: every queue should have a primary available (M >= N).
 		panic(fmt.Sprintf("core: M=%d < N=%d queues", cfg.M, len(queues)))
 	}
+	if cfg.VBar < 0 {
+		panic(fmt.Sprintf("core: negative VBar %v", cfg.VBar))
+	}
+	if cfg.TL < 0 {
+		panic(fmt.Sprintf("core: negative TL %v", cfg.TL))
+	}
+	if cfg.Mu <= 0 {
+		panic(fmt.Sprintf("core: non-positive service rate Mu %v", cfg.Mu))
+	}
 	if cfg.FreqScale <= 0 {
 		cfg.FreqScale = 1
 	}
 	n := len(queues)
-	cyc, err := sched.NewCycle(PolicyName(cfg), policyConfig(cfg, n), cfg.Faults)
+	cyc, err := sched.NewCycle(cfg.Policy, policyConfig(cfg, n), cfg.Faults)
 	if err != nil {
 		panic(err)
 	}
@@ -365,28 +370,13 @@ func (r *Runtime) addThread(rng *xrand.Rand) *thread {
 	return th
 }
 
-// PolicyName resolves the discipline cfg selects, mapping the legacy
-// Adaptive/TSFixed fields when no name is given — the single source of
-// truth for what New will instantiate (CLIs print it).
-func PolicyName(cfg Config) string {
-	if cfg.Policy != "" {
-		return cfg.Policy
-	}
-	if cfg.Adaptive {
-		return sched.NameAdaptive
-	}
-	return sched.NameFixed
-}
-
 // policyConfig projects the runtime configuration onto the policy engine's.
 func policyConfig(cfg Config, n int) sched.Config {
 	return sched.Config{
 		VBar:         cfg.VBar,
 		TL:           cfg.TL,
-		TSFixed:      cfg.TSFixed,
 		M:            cfg.M,
 		N:            n,
-		Alpha:        cfg.Alpha,
 		BackupSticky: cfg.BackupSticky,
 		Bus:          cfg.Bus,
 		Dephase:      cfg.Dephase,
@@ -572,8 +562,8 @@ func (r *Runtime) Residency(now, wall float64, budget int) power.Residency {
 		idle = 0
 	}
 	dwell := 0.0
-	if r.Tries.Value > 0 {
-		dwell = idle / float64(r.Tries.Value)
+	if r.Tries > 0 {
+		dwell = idle / float64(r.Tries)
 	}
 	parked := float64(budget)*wall - prov
 	if parked < 0 {
@@ -602,7 +592,7 @@ func (r *Runtime) MuEffective() float64 { return r.Cfg.Mu * r.Cfg.FreqScale }
 
 // BusyTryFraction returns the failed-trylock percentage basis (0..1).
 func (r *Runtime) BusyTryFraction() float64 {
-	return stats.Ratio(r.BusyTries.Value, r.Tries.Value)
+	return stats.Ratio(r.BusyTries, r.Tries)
 }
 
 // ThreadHome returns the queue thread id is homed on under the current
@@ -636,13 +626,13 @@ func (r *Runtime) wakeup(th *thread) {
 		return
 	}
 	r.Acct.AddBusy(th.id, r.Cfg.WakeCost)
-	r.Tries.Inc()
+	r.Tries++
 	q := th.queue
 	r.TriesQ[q]++
 	if r.locked[q] {
 		// Busy try: another thread owns the queue. Become backup; pick a
 		// random queue for the next attempt (Sec. IV-E) and sleep TL.
-		r.BusyTries.Inc()
+		r.BusyTries++
 		r.BusyTriesQ[q]++
 		if r.cyc.Publishes(q) {
 			// The queue is mid-service, so Occupancy reads the fluid
@@ -702,14 +692,11 @@ func (r *Runtime) wakeup(th *thread) {
 // perturbed by the service-time noise of Sec. IV-B.2.
 func (r *Runtime) noisyMu(th *thread) float64 {
 	mu := r.MuEffective()
-	if r.Cfg.MuSigma > 0 {
-		noisy := mu * (1 + r.Cfg.MuSigma*th.rng.NormFloat64())
-		if floor := 0.3 * mu; noisy < floor {
-			noisy = floor
-		}
-		mu = noisy
+	noisy := mu * (1 + MuSigma*th.rng.NormFloat64())
+	if floor := 0.3 * mu; noisy < floor {
+		return floor
 	}
-	return mu
+	return noisy
 }
 
 // serveSlices advances the busy period slice by slice so that overload and
@@ -719,7 +706,7 @@ func (r *Runtime) noisyMu(th *thread) float64 {
 // callbacks read the cycle state back off the thread.
 func (r *Runtime) serveSlices(th *thread, sliceStart float64) {
 	queue := r.Queues[th.queue]
-	done, end := queue.ServeSlice(r.Cfg.MaxSlice)
+	done, end := queue.ServeSlice(MaxSlice)
 	r.Acct.AddBusy(th.id, end-sliceStart)
 	th.sliceEnd = end
 	if !done {
@@ -739,7 +726,7 @@ func (r *Runtime) finishCycle(th *thread) {
 	busy := now - th.serviceStart
 	r.locked[q] = false
 	r.lastRelease[q] = now
-	r.Cycles.Inc()
+	r.Cycles++
 	r.CyclesQ[q]++
 	r.CyclesByThread[th.id]++
 	if r.Cfg.OnCycle != nil {
@@ -851,10 +838,10 @@ func (r *Runtime) Snapshot(wall float64) Metrics {
 	m := Metrics{
 		Wall:        wall,
 		CPUPercent:  r.Acct.UsagePercent(wall),
-		BusyTries:   r.BusyTries.Value,
-		Tries:       r.Tries.Value,
+		BusyTries:   r.BusyTries,
+		Tries:       r.Tries,
 		BusyTryFrac: r.BusyTryFraction(),
-		Cycles:      r.Cycles.Value,
+		Cycles:      r.Cycles,
 		CyclesQ:     r.snapCyclesQ[:n],
 		RhoEst:      r.snapFloats[:0:n],
 		TSNow:       r.snapFloats[n : n : 2*n],

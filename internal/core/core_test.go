@@ -137,9 +137,8 @@ func TestEqualTimeoutsWasteCPUAtHighLoad(t *testing.T) {
 	// timeouts equal to TS, high load degrades into constant busy tries.
 	cfg := DefaultConfig()
 	cfg.Seed = 7
-	cfg.Adaptive = false
-	cfg.TSFixed = 10 * us
-	cfg.TL = 10 * us // equal timeouts
+	cfg.Policy = sched.NameFixed // sleeps VBar = 10us
+	cfg.TL = 10 * us             // equal timeouts
 	_, eq := runSingle(t, 14.88e6, cfg, 0.3)
 	cfg2 := DefaultConfig()
 	cfg2.Seed = 7
@@ -162,8 +161,8 @@ func TestFig4VacationDistribution(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Seed = uint64(80 + m*100 + run)
 			cfg.M = m
-			cfg.Adaptive = false
-			cfg.TSFixed = 50 * us
+			cfg.Policy = sched.NameFixed
+			cfg.VBar = 50 * us
 			cfg.TL = 50 * us
 			cfg.OnCycle = func(q int, v, b float64) { hist.Add(v) }
 
@@ -373,6 +372,30 @@ func TestConfigValidation(t *testing.T) {
 		q2 := nic.NewQueue(1, traffic.CBR{PPS: 1}, xrand.New(2), nic.DefaultOptions())
 		New(eng, []*nic.Queue{q, q2}, Config{M: 1})
 	})
+	for _, tc := range []struct {
+		name, want string
+		set        func(*Config)
+	}{
+		{"negative VBar", "VBar", func(c *Config) { c.VBar = -1 * us }},
+		{"negative TL", "TL", func(c *Config) { c.TL = -5 * us }},
+		{"zero Mu", "Mu", func(c *Config) { c.Mu = 0 }},
+		{"negative Mu", "Mu", func(c *Config) { c.Mu = -1 }},
+	} {
+		cfg := DefaultConfig()
+		tc.set(&cfg)
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q does not name %s", tc.name, msg, tc.want)
+				}
+			}()
+			New(eng, []*nic.Queue{q}, cfg)
+		}()
+	}
+	// VBar == 0 stays legal: it is the zero-timeout poller.
+	cfg := DefaultConfig()
+	cfg.VBar = 0
+	New(eng, []*nic.Queue{q}, cfg)
 }
 
 func TestLatencySamplesReasonable(t *testing.T) {
@@ -495,9 +518,9 @@ func TestRMetronomeCycleAccounting(t *testing.T) {
 			}
 			sumT += c
 		}
-		if sumQ != rt.Cycles.Value || sumT != rt.Cycles.Value {
+		if sumQ != rt.Cycles || sumT != rt.Cycles {
 			t.Errorf("%s: cycle splits sum to %d (queues) / %d (threads), want %d",
-				policy, sumQ, sumT, rt.Cycles.Value)
+				policy, sumQ, sumT, rt.Cycles)
 		}
 		if len(m.CyclesQ) != 2 || m.CyclesQ[0] != rt.CyclesQ[0] {
 			t.Errorf("%s: Metrics.CyclesQ = %v, runtime %v", policy, m.CyclesQ, rt.CyclesQ)

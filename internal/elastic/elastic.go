@@ -124,18 +124,6 @@ type Config struct {
 	// fraction of ring capacity (default 0.10). Occupancy above it is
 	// grow pressure; occupancy below it unwinds the integral and shrinks.
 	TargetOccupancy float64
-	// LossGain is the error added while the last window dropped packets
-	// (default 3): loss is the unambiguous under-provisioning signal, so
-	// it dominates the occupancy term until it stops.
-	LossGain float64
-	// Kp and Ki are the proportional and integral gains in threads per
-	// unit error (defaults 1 and 0.5). Errors are normalised:
-	// (occ - target)/target, so error 1 means double the target.
-	Kp, Ki float64
-	// Hysteresis widens the resize deadband in threads (default 0.25): a
-	// resize applies only when the PI output departs the current size by
-	// more than 0.5+Hysteresis, so the rounding boundary cannot chatter.
-	Hysteresis float64
 	// Cooldown is the minimum time between applied *shrinks* in seconds
 	// (default 16 periods). Growth is never throttled: under-provisioning
 	// loses packets, over-provisioning only burns budget.
@@ -155,23 +143,6 @@ type Config struct {
 	// Only the feedback error feeds the integral — feedforward cannot wind
 	// it up, so a crested ramp unwinds at the plain PI rate.
 	SlopeGain float64
-	// AvgOcc switches the occupancy input of the size and placement laws
-	// from the point-in-time gauge to the substrate's time-averaged gauge
-	// (telemetry OccAvg: the occupancy integral over the publisher's
-	// accounting window in the sim, a time-constant EWMA in the live
-	// runtime). The point gauge aliases on Metronome's cycle phase — it
-	// reads N_V at a wake and zero right after a release — which is why the
-	// controller layers its own EWMA on top; the averaged gauge removes the
-	// alias at the source. Default off: the shipped fig-elastic and
-	// fig-placement tunings were calibrated against the point gauge.
-	AvgOcc bool
-	// SlopeAlpha is the EWMA smoothing of the per-queue occupancy signals
-	// (default 0.25). It governs BOTH smoothed views of the sampled
-	// occupancy: the slope EWMA the feedforward reads (republished to the
-	// bus as occupancy-slope gauges) and the occupancy EWMA the placement
-	// law apportions by — one knob because both exist to filter the same
-	// point-in-time sampling noise at the same control cadence.
-	SlopeAlpha float64
 
 	// Objective selects what the size law minimises: thread-seconds (the
 	// zero value — the original law) or modelled joules. See the
@@ -194,18 +165,6 @@ type Config struct {
 	// limiting). Off by default: the shipped fig-elastic/fig-placement
 	// tunings predate it and stay byte-identical.
 	Health bool
-	// StaleTicks is the per-queue staleness bound in control ticks (default
-	// 8): a queue whose publish sequence has not advanced for this many
-	// ticks is stale. Staleness is detected by value change, never by clock
-	// arithmetic — the sim publishes virtual seconds, the live runner
-	// elapsed seconds, and the controller must not care.
-	StaleTicks int
-	// HeartbeatTicks is the per-member liveness bound in control ticks
-	// (default 8): an active member whose heartbeat gauge has not changed
-	// for this many ticks is a straggler (stalled or dead) and is exiled —
-	// its home queue gets one reinforcing member through a corrective plan.
-	// The exile latch clears only when the heartbeat value moves again.
-	HeartbeatTicks int
 	// SafeTeam is the static team size the controller holds when every
 	// queue's telemetry is stale (the bus went dark): with no trustworthy
 	// signal, provision a configured-safe size rather than act on garbage.
@@ -235,18 +194,49 @@ type Homer interface {
 	ThreadHome(id int) int
 }
 
+// The control laws' tuning, calibrated by the fig-elastic experiment.
+const (
+	// Kp and Ki are the proportional and integral gains in threads per
+	// unit error. Errors are normalised: (occ - target)/target, so error 1
+	// means double the target.
+	Kp, Ki = 1, 0.5
+	// LossGain is the error added while the last window dropped packets:
+	// loss is the unambiguous under-provisioning signal, so it dominates
+	// the occupancy term until it stops.
+	LossGain = 3
+	// Hysteresis widens the resize deadband in threads: a resize applies
+	// only when the PI output departs the current size by more than
+	// 0.5+Hysteresis, so the rounding boundary cannot chatter.
+	Hysteresis = 0.25
+	// SignalAlpha is the EWMA smoothing of the per-queue occupancy signals.
+	// It governs BOTH smoothed views of the sampled occupancy: the slope
+	// EWMA the feedforward reads (republished to the bus as
+	// occupancy-slope gauges) and the occupancy EWMA the placement law
+	// apportions by — one constant because both exist to filter the same
+	// point-in-time sampling noise at the same control cadence.
+	SignalAlpha = 0.25
+	// StaleTicks is the health layer's per-queue staleness bound in
+	// control ticks: a queue whose publish sequence has not advanced for
+	// this many ticks is stale. Staleness is detected by value change,
+	// never by clock arithmetic — the sim publishes virtual seconds, the
+	// live runner elapsed seconds, and the controller must not care.
+	StaleTicks = 8
+	// HeartbeatTicks is the health layer's per-member liveness bound in
+	// control ticks: an active member whose heartbeat gauge has not changed
+	// for this many ticks is a straggler (stalled or dead) and is exiled —
+	// its home queue gets one reinforcing member through a corrective plan.
+	// The exile latch clears only when the heartbeat value moves again.
+	HeartbeatTicks = 8
+)
+
 // DefaultConfig returns the tuning the fig-elastic experiment ships:
-// budget cores, a 1 ms control period and the PI gains calibrated there.
+// budget cores, a 1 ms control period and a 10% occupancy target.
 func DefaultConfig(minThreads, budget int) Config {
 	return Config{
 		Period:          1e-3,
 		MinThreads:      minThreads,
 		Budget:          budget,
 		TargetOccupancy: 0.10,
-		LossGain:        3,
-		Kp:              1,
-		Ki:              0.5,
-		Hysteresis:      0.25,
 	}
 }
 
@@ -263,32 +253,11 @@ func (c Config) normalized() Config {
 	if c.TargetOccupancy <= 0 {
 		c.TargetOccupancy = 0.10
 	}
-	if c.LossGain < 0 {
-		c.LossGain = 0
-	}
-	if c.Kp <= 0 {
-		c.Kp = 1
-	}
-	if c.Ki <= 0 {
-		c.Ki = 0.5
-	}
-	if c.Hysteresis < 0 {
-		c.Hysteresis = 0
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 16 * c.Period
 	}
 	if c.SlopeGain < 0 {
 		c.SlopeGain = 0
-	}
-	if c.SlopeAlpha <= 0 || c.SlopeAlpha > 1 {
-		c.SlopeAlpha = 0.25
-	}
-	if c.StaleTicks <= 0 {
-		c.StaleTicks = 8
-	}
-	if c.HeartbeatTicks <= 0 {
-		c.HeartbeatTicks = 8
 	}
 	if c.SafeTeam <= 0 || c.SafeTeam > c.Budget {
 		c.SafeTeam = c.Budget
@@ -508,7 +477,7 @@ func (c *Controller) tick(now float64) Decision {
 	}
 	occ, slope := 0.0, 0.0
 	for q := 0; q < c.bus.Queues(); q++ {
-		if c.health != nil && c.health.stale(q, c.cfg.StaleTicks) {
+		if c.health != nil && c.health.stale(q) {
 			// Stale gauge rejection: the queue's publishers went quiet, so
 			// this sample is a frozen echo. Hold the last-fresh smoothed
 			// signals (the occupancy EWMA and slope keep steering the size
@@ -530,13 +499,13 @@ func (c *Controller) tick(now float64) Decision {
 		// noise. The placement law apportions by this EWMA instead — the
 		// time-averaged wake occupancy is the demand a queue actually
 		// exerts.
-		c.occEW[q] += c.cfg.SlopeAlpha * (f - c.occEW[q])
+		c.occEW[q] += SignalAlpha * (f - c.occEW[q])
 		if dt > 0 {
 			// Per-queue occupancy slope, EWMA-smoothed and republished to
 			// the bus as a gauge: the feedforward's input and the
 			// observability signal behind the fig-placement panels.
 			s := (f - c.prevOccF[q]) / dt
-			c.slopes[q] += c.cfg.SlopeAlpha * (s - c.slopes[q])
+			c.slopes[q] += SignalAlpha * (s - c.slopes[q])
 			c.bus.Set(telemetry.OccSlope, q, c.slopes[q])
 		}
 		if c.slopes[q] > slope {
@@ -620,7 +589,7 @@ func (c *Controller) tick(now float64) Decision {
 	}
 	e := (occ - target) / target
 	if lossDelta > 0 {
-		e += c.cfg.LossGain
+		e += LossGain
 	}
 	// Feedforward: the predicted occupancy rise over the lookahead window
 	// (SlopeGain control periods), normalised like the proportional error.
@@ -631,19 +600,19 @@ func (c *Controller) tick(now float64) Decision {
 	if c.cfg.SlopeGain > 0 && slope > 0 {
 		ff = slope * c.cfg.SlopeGain * c.cfg.Period / c.cfg.TargetOccupancy
 	}
-	c.integ += c.cfg.Ki * e
+	c.integ += Ki * e
 	c.integ = clamp(c.integ, 0, float64(c.cfg.Budget-c.cfg.MinThreads))
-	raw := float64(c.cfg.MinThreads) + c.cfg.Kp*(e+ff) + c.integ
+	raw := float64(c.cfg.MinThreads) + Kp*(e+ff) + c.integ
 	want := int(math.Round(clamp(raw, float64(c.cfg.MinThreads), float64(c.cfg.Budget))))
 
 	d.Err, d.Feedfwd, d.Raw = e, ff, raw
 	d.Want, d.Applied = want, cur
 	switch {
-	case want > cur && raw > float64(cur)+0.5+c.cfg.Hysteresis &&
+	case want > cur && raw > float64(cur)+0.5+Hysteresis &&
 		c.takeToken(now):
 		d.Applied = c.actuate(want, &d)
 		d.Resized = d.Applied != cur
-	case want < cur && raw < float64(cur)-0.5-c.cfg.Hysteresis &&
+	case want < cur && raw < float64(cur)-0.5-Hysteresis &&
 		now-c.lastShrink >= c.cfg.Cooldown &&
 		(c.health == nil || !c.health.anyExiled()) && c.takeToken(now):
 		d.Applied = c.actuate(want, &d)
@@ -688,7 +657,7 @@ func (c *Controller) finishTick(d Decision) Decision {
 	if c.health != nil && (d.Resized || d.Rebalanced) {
 		// Freshly moved members re-home and their heartbeats wobble: hold
 		// the straggler detector for one full liveness window.
-		c.health.grace = c.cfg.HeartbeatTicks
+		c.health.grace = HeartbeatTicks
 	}
 	if d.Applied < c.minSeen {
 		c.minSeen = d.Applied
@@ -722,16 +691,13 @@ func (c *Controller) recordTick(d *Decision) {
 	c.prevSafe = d.SafeMode
 }
 
-// occFraction reads queue q's sampled occupancy as a fraction of its ring
-// capacity (zero when the capacity was never published). With AvgOcc set it
-// reads the substrate's time-averaged gauge instead of the point sample.
+// occFraction reads queue q's sampled point-in-time occupancy as a
+// fraction of its ring capacity (zero when the capacity was never
+// published).
 func (c *Controller) occFraction(q int) float64 {
 	cp := c.snap.Gauge[telemetry.Capacity][q]
 	if cp <= 0 {
 		return 0
-	}
-	if c.cfg.AvgOcc {
-		return c.snap.Gauge[telemetry.OccAvg][q] / cp
 	}
 	return c.snap.Gauge[telemetry.Occupancy][q] / cp
 }

@@ -53,8 +53,8 @@ func (h *healthState) seed(snap *telemetry.Snapshot, now float64) {
 }
 
 // stale reports whether queue q's gauges are past the staleness bound.
-func (h *healthState) stale(q, bound int) bool {
-	return h.staleFor[q] >= bound
+func (h *healthState) stale(q int) bool {
+	return h.staleFor[q] >= StaleTicks
 }
 
 // anyExiled reports whether an exile latch is live. While one is, the size
@@ -86,7 +86,7 @@ func (c *Controller) healthObserve(d *Decision, cur int) bool {
 		} else {
 			h.staleFor[q]++
 		}
-		if h.stale(q, c.cfg.StaleTicks) {
+		if h.stale(q) {
 			d.StaleMask |= 1 << uint(q%64)
 			staleCount++
 			h.staleQTicks++
@@ -113,7 +113,7 @@ func (c *Controller) healthObserve(d *Decision, cur int) bool {
 			continue
 		}
 		h.hbSame[i]++
-		if h.hbSame[i] >= c.cfg.HeartbeatTicks && !h.exiled[i] && h.grace == 0 {
+		if h.hbSame[i] >= HeartbeatTicks && !h.exiled[i] && h.grace == 0 {
 			d.Unhealthy = append(d.Unhealthy, i)
 		}
 	}

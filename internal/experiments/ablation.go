@@ -65,17 +65,12 @@ func runAblTimeouts(o Options) []*Table {
 	t.Rows = parMap(o, 2, func(i int) []string {
 		if i == 0 {
 			eq := core.DefaultConfig()
-			eq.Adaptive = false
-			eq.TSFixed = 10e-6
+			eq.Policy = sched.NameFixed
 			eq.TL = 10e-6
-			_, meq := singleQueueCBR(o, eq, traffic.Rate64B(10), d, o.Seed+1300)
+			_, meq := singleQueueCBR(eq, traffic.Rate64B(10), d, o.Seed+1300)
 			return []string{"equal_TS=TL=10us", pct(meq.BusyTryFrac * 100), pct(meq.CPUPercent), permille(meq.LossRate)}
 		}
-		sp := core.DefaultConfig()
-		// The timeout split IS this experiment's axis: pin the discipline so
-		// a global -policy override cannot mislabel the row.
-		sp.Policy = sched.NameAdaptive
-		_, msp := singleQueueCBR(o, sp, traffic.Rate64B(10), d, o.Seed+1301)
+		_, msp := singleQueueCBR(core.DefaultConfig(), traffic.Rate64B(10), d, o.Seed+1301)
 		return []string{"split_TS/TL=500us", pct(msp.BusyTryFrac * 100), pct(msp.CPUPercent), permille(msp.LossRate)}
 	})
 	return []*Table{t}
@@ -91,14 +86,10 @@ func runAblAdaptive(o Options) []*Table {
 	gbpss := []float64{10, 5, 1, 0.5}
 	t.Rows = parMap(o, len(gbpss), func(i int) []string {
 		gbps := gbpss[i]
-		ad := core.DefaultConfig()
-		// Adaptive-vs-fixed IS this experiment's axis: pin both arms.
-		ad.Policy = sched.NameAdaptive
-		_, ma := singleQueueCBR(o, ad, traffic.Rate64B(gbps), d, o.Seed+uint64(1310+i))
+		_, ma := singleQueueCBR(core.DefaultConfig(), traffic.Rate64B(gbps), d, o.Seed+uint64(1310+i))
 		fx := core.DefaultConfig()
-		fx.Adaptive = false
-		fx.TSFixed = 10e-6
-		_, mf := singleQueueCBR(o, fx, traffic.Rate64B(gbps), d, o.Seed+uint64(1320+i))
+		fx.Policy = sched.NameFixed
+		_, mf := singleQueueCBR(fx, traffic.Rate64B(gbps), d, o.Seed+uint64(1320+i))
 		return []string{f1(gbps), us(ma.MeanVacation), us(mf.MeanVacation)}
 	})
 	t.Notes = append(t.Notes,
@@ -119,9 +110,6 @@ func runAblBackup(o Options) []*Table {
 		cfg := core.DefaultConfig()
 		cfg.M = 5
 		cfg.VBar = 15e-6
-		// The backup-selection axis under study belongs to the discipline,
-		// so pin it: a global -policy override would erase the contrast.
-		cfg.Policy = sched.NameAdaptive
 		cfg.BackupSticky = sticky
 		procs := make([]traffic.Process, 3)
 		for i, s := range shares {
@@ -155,9 +143,8 @@ func runAblPolicy(o Options) []*Table {
 	rows := parMap(o, len(gbpss)*len(policies), func(j int) []string {
 		gi, pi := j/len(policies), j%len(policies)
 		cfg := core.DefaultConfig()
-		cfg.Policy = policies[pi]
-		cfg.TSFixed = 10e-6 // the fixed discipline pins TS at the target
-		_, m := singleQueueCBR(o, cfg, traffic.Rate64B(gbpss[gi]), d,
+		cfg.Policy = policies[pi] // the fixed discipline pins TS at the V̄ target
+		_, m := singleQueueCBR(cfg, traffic.Rate64B(gbpss[gi]), d,
 			o.Seed+uint64(1400+10*gi+pi))
 		return []string{
 			policies[pi], pct(m.CPUPercent), us(m.Latency.Mean),
@@ -189,14 +176,10 @@ func runAblUniformVac(o Options) []*Table {
 	gbpss := []float64{10, 5, 1, 0.5}
 	t.Rows = parMap(o, len(gbpss), func(i int) []string {
 		gbps := gbpss[i]
-		ad := core.DefaultConfig()
-		// The load-adaptivity axis IS this experiment: pin both arms so a
-		// global -policy override cannot erase the contrast.
-		ad.Policy = sched.NameAdaptive
-		_, ma := singleQueueCBR(o, ad, traffic.Rate64B(gbps), d, o.Seed+uint64(1360+i))
+		_, ma := singleQueueCBR(core.DefaultConfig(), traffic.Rate64B(gbps), d, o.Seed+uint64(1360+i))
 		uv := core.DefaultConfig()
 		uv.Policy = sched.NameUniformVac
-		_, mu := singleQueueCBR(o, uv, traffic.Rate64B(gbps), d, o.Seed+uint64(1370+i))
+		_, mu := singleQueueCBR(uv, traffic.Rate64B(gbps), d, o.Seed+uint64(1370+i))
 		return []string{f1(gbps), us(ma.MeanVacation), us(mu.MeanVacation),
 			pct(ma.CPUPercent), pct(mu.CPUPercent)}
 	})
@@ -223,11 +206,10 @@ func runAblTxBatch(o Options) []*Table {
 			cfg.Mu *= 0.97
 		}
 		_, m := runMetronome(runSpec{
-			cfg:    cfg,
-			policy: overridePolicy(o, cfg),
-			optFn:  func(opt *nic.Options) { opt.TxBatch = batch },
-			procs:  []traffic.Process{traffic.CBR{PPS: traffic.Rate64B(1)}},
-			dur:    d, warmup: d * 0.2,
+			cfg:   cfg,
+			optFn: func(opt *nic.Options) { opt.TxBatch = batch },
+			procs: []traffic.Process{traffic.CBR{PPS: traffic.Rate64B(1)}},
+			dur:   d, warmup: d * 0.2,
 			seed: o.Seed + uint64(1340+batch),
 		})
 		return []string{
@@ -248,7 +230,7 @@ func runAblSleep(o Options) []*Table {
 	t.Rows = parMap(o, len(services), func(i int) []string {
 		cfg := core.DefaultConfig()
 		cfg.Sleep = services[i]
-		_, m := singleQueueCBR(o, cfg, traffic.Rate64B(10), d, o.Seed+uint64(1350+i))
+		_, m := singleQueueCBR(cfg, traffic.Rate64B(10), d, o.Seed+uint64(1350+i))
 		return []string{services[i].String(), us(m.MeanVacation), us(m.Latency.Mean), pct(m.CPUPercent)}
 	})
 	return []*Table{t}

@@ -49,7 +49,7 @@ func runFig16(o Options) []*Table {
 			rate := c.rates[i]
 			cfg := core.DefaultConfig()
 			cfg.Mu = mu
-			_, m := singleQueueCBR(o, cfg, rate, d, o.Seed+uint64(1200+ci*10+i))
+			_, m := singleQueueCBR(cfg, rate, d, o.Seed+uint64(1200+ci*10+i))
 			st := baseline.DefaultStatic()
 			st.Mu = mu
 			sres := baseline.Static(st, rate)

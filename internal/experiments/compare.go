@@ -56,7 +56,7 @@ func runFig10(o Options) []*Table {
 		gbps := gbpss[i]
 		pps := traffic.Rate64B(gbps)
 		cfg := core.DefaultConfig()
-		_, met := singleQueueCBR(o, cfg, pps, d, o.Seed+uint64(500+i))
+		_, met := singleQueueCBR(cfg, pps, d, o.Seed+uint64(500+i))
 		st := baseline.Static(baseline.DefaultStatic(), pps)
 		xd := baseline.XDP(baseline.DefaultXDP(), pps, xdpCores(gbps))
 
@@ -98,7 +98,6 @@ func runFig11(o Options) []*Table {
 		cfg := core.DefaultConfig()
 		spec := runSpec{
 			cfg:    cfg,
-			policy: overridePolicy(o, cfg),
 			procs:  []traffic.Process{traffic.CBR{PPS: pps}},
 			dur:    d,
 			warmup: d * 0.2,

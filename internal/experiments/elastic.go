@@ -221,13 +221,9 @@ func runElastic(o Options) []*Table {
 		},
 	}
 
-	tables := []*Table{flash, diurnal, shift}
-	if !o.NoHist {
-		tables = append(tables,
-			tailsTable("fig-elastic-tails-flash", "flash crowd — exact latency tails", elasticTails(crowdResults)),
-			tailsTable("fig-elastic-tails-diurnal", "diurnal sine — exact latency tails", elasticTails(sineResults)),
-			tailsTable("fig-elastic-tails-shift", "unbalanced shift — exact latency tails", elasticTails(shiftResults)),
-		)
+	return []*Table{flash, diurnal, shift,
+		tailsTable("fig-elastic-tails-flash", "flash crowd — exact latency tails", elasticTails(crowdResults)),
+		tailsTable("fig-elastic-tails-diurnal", "diurnal sine — exact latency tails", elasticTails(sineResults)),
+		tailsTable("fig-elastic-tails-shift", "unbalanced shift — exact latency tails", elasticTails(shiftResults)),
 	}
-	return tables
 }

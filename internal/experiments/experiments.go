@@ -36,34 +36,6 @@ type Options struct {
 	Quick bool
 	// Seed makes the whole experiment reproducible.
 	Seed uint64
-	// Policy overrides the scheduling discipline (a sched registry name)
-	// for every deployment that does not pin its own — the metrobench
-	// -policy flag, letting any experiment re-run under fixed or busypoll.
-	Policy string
-	// Elastic attaches the occupancy-driven control plane (with a default
-	// tuning and a 2M core budget) to every deployment flowing through
-	// the common single-queue runner — the metrobench -elastic flag. The
-	// fig-elastic experiment pins its own controllers regardless.
-	Elastic bool
-	// Placement upgrades the Elastic override to the placement plane: the
-	// controller apportions members per queue (and feeds the slope
-	// feedforward) instead of only moving the scalar M — the metrobench
-	// -placement flag. fig-placement pins its own controllers regardless.
-	Placement bool
-	// RingCap overrides the Rx descriptor-ring capacity for deployments
-	// flowing through the common single-queue runner that do not pin
-	// their own — the metrobench -cap flag, scoped like Elastic (the nic
-	// default 576-slot ring makes the elastic occupancy target coarse).
-	RingCap int64
-	// Objective overrides the elastic controller's minimisation target for
-	// the Options-level override ("thread-seconds" or "joules") — the
-	// metrobench -objective flag, scoped like Elastic: experiments that pin
-	// their own controllers (fig-elastic, fig-power, ...) are unaffected.
-	Objective string
-	// NoHist drops the exact-histogram latency-tail panels from the
-	// experiments that render them (fig-elastic, fig-faults, fig-power) —
-	// the metrobench -hist=false flag. The zero value keeps the panels on.
-	NoHist bool
 	// Parallel bounds how many independent simulations a sweep experiment
 	// runs concurrently; 0 means GOMAXPROCS. Each row/series point is a
 	// self-contained deterministic simulation (own engine, RNG streams and
@@ -237,7 +209,6 @@ as the whole reproduction with headline quantities as benchmark metrics.
 // runSpec describes one simulated Metronome deployment.
 type runSpec struct {
 	cfg    core.Config
-	policy string             // sched policy name; overrides cfg.Policy when set
 	optFn  func(*nic.Options) // per-queue option tweaks (nil = defaults)
 	procs  []traffic.Process  // one per queue
 	dur    float64
@@ -267,16 +238,6 @@ type runSpec struct {
 	recorder *obsv.Recorder
 }
 
-// overridePolicy yields the Options-level discipline override for a
-// deployment, unless the experiment pinned its own (an explicit Policy
-// name, or the legacy fixed-TS fields).
-func overridePolicy(o Options, cfg core.Config) string {
-	if cfg.Policy == "" && cfg.Adaptive {
-		return o.Policy
-	}
-	return ""
-}
-
 // runMetronome executes the spec and snapshots metrics over the
 // post-warm-up window.
 func runMetronome(s runSpec) (*core.Runtime, core.Metrics) {
@@ -292,9 +253,6 @@ func runMetronome(s runSpec) (*core.Runtime, core.Metrics) {
 // a synthesized report (M threads for the whole window) so elastic and
 // static rows are comparable in one table.
 func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report) {
-	if s.policy != "" {
-		s.cfg.Policy = s.policy
-	}
 	if s.recorder != nil {
 		s.cfg.Recorder = s.recorder
 	}
@@ -319,12 +277,7 @@ func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report
 	queues := make([]*nic.Queue, len(s.procs))
 	for i, p := range s.procs {
 		opt := nic.DefaultOptions()
-		if s.cfg.RingCap > 0 {
-			opt.Cap = s.cfg.RingCap
-		}
 		if s.optFn != nil {
-			// Experiment-pinned ring shapes win over the Options-level
-			// -cap override.
 			s.optFn(&opt)
 		}
 		queues[i] = nic.NewQueue(i, p, root.Split(), opt)
@@ -363,7 +316,7 @@ func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report
 		for _, q := range queues {
 			q.Reset(eng.Now())
 		}
-		r.Tries.Value, r.BusyTries.Value, r.Cycles.Value = 0, 0, 0
+		r.Tries, r.BusyTries, r.Cycles = 0, 0, 0
 		for i := range r.TriesQ {
 			r.TriesQ[i], r.BusyTriesQ[i], r.CyclesQ[i] = 0, 0, 0
 		}
@@ -405,24 +358,6 @@ func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report
 	return r, r.Snapshot(s.dur), rep
 }
 
-// overrideElastic yields the Options-level elastic override (-elastic on
-// metrobench): a default-tuned controller with a 2M core budget, upgraded
-// to the placement plane when -placement is also set.
-func overrideElastic(o Options, cfg core.Config, nQueues int) *elastic.Config {
-	if !o.Elastic && !o.Placement {
-		return nil
-	}
-	ec := elastic.DefaultConfig(nQueues, 2*cfg.M)
-	if o.Placement {
-		ec.Placement = true
-		ec.SlopeGain = 8
-	}
-	if o.Objective == "joules" {
-		ec.Objective = elastic.ObjectiveJoules
-	}
-	return &ec
-}
-
 // tailColumns are the exact-histogram latency-tail cells appended by the
 // experiments that render tail panels; values are microseconds read from
 // the bus histograms (bucket upper edges, ≤3.2% wide — see stats.LogHistogram).
@@ -448,21 +383,14 @@ func tailCells(r *core.Runtime, nQueues int) []string {
 	return []string{at(0.5), at(0.99), at(0.999), at(0.9999), us(float64(h.Max()) * 1e-9)}
 }
 
-// singleQueueCBR is the common single-queue constant-rate deployment; the
-// Options-level policy, elastic and ring-capacity overrides apply unless
-// cfg pinned its own.
-func singleQueueCBR(o Options, cfg core.Config, pps, dur float64, seed uint64) (*core.Runtime, core.Metrics) {
-	if cfg.RingCap == 0 {
-		cfg.RingCap = o.RingCap
-	}
+// singleQueueCBR is the common single-queue constant-rate deployment.
+func singleQueueCBR(cfg core.Config, pps, dur float64, seed uint64) (*core.Runtime, core.Metrics) {
 	return runMetronome(runSpec{
-		cfg:     cfg,
-		policy:  overridePolicy(o, cfg),
-		elastic: overrideElastic(o, cfg, 1),
-		procs:   []traffic.Process{traffic.CBR{PPS: pps}},
-		dur:     dur,
-		warmup:  dur * 0.2,
-		seed:    seed,
+		cfg:    cfg,
+		procs:  []traffic.Process{traffic.CBR{PPS: pps}},
+		dur:    dur,
+		warmup: dur * 0.2,
+		seed:   seed,
 	})
 }
 

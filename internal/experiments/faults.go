@@ -140,12 +140,8 @@ func rowsOf(results []faultResult) [][]string {
 	return rows
 }
 
-// faultTables pairs a panel with its exact-histogram tail table unless
-// the Options-level -hist override dropped the tail panels.
-func faultTables(o Options, main *Table, results []faultResult, tailID, tailTitle string) []*Table {
-	if o.NoHist {
-		return []*Table{main}
-	}
+// faultTables pairs a panel with its exact-histogram tail table.
+func faultTables(main *Table, results []faultResult, tailID, tailTitle string) []*Table {
 	rows := make([][]string, len(results))
 	for i, r := range results {
 		rows[i] = r.tails
@@ -192,7 +188,7 @@ func stragglerResults(o Options, rec *obsv.Recorder) ([]faultResult, float64) {
 func faultsStragglerPanel(o Options) []*Table {
 	rec := obsv.NewRecorder(obsv.DefaultCapacity)
 	results, _ := stragglerResults(o, rec)
-	tables := faultTables(o, &Table{
+	tables := faultTables(&Table{
 		ID:      "fig-faults-straggler",
 		Title:   "straggler storm (thread 0 preempted 40 ms every 80 ms), 150 Kpps + 6 Mpps over 2 queues",
 		Columns: faultColumns,
@@ -227,7 +223,7 @@ func faultsBlackoutPanel(o Options) []*Table {
 	results := parMap(o, len(modes), func(i int) faultResult {
 		return faultRow(modes[i], procs, evs, d, warmup, faultEnd, 0, true, o.Seed+uint64(1620+i))
 	})
-	return faultTables(o, &Table{
+	return faultTables(&Table{
 		ID:      "fig-faults-blackout",
 		Title:   "queue blackout (queue 0 dark for 32 ms), 600 Kpps + 6 Mpps over 2 queues",
 		Columns: faultColumns,
@@ -264,7 +260,7 @@ func faultsBrownoutPanel(o Options) []*Table {
 	results := parMap(o, len(modes), func(i int) faultResult {
 		return faultRow(modes[i], procs, evs, d, warmup, faultEnd, 0, false, o.Seed+uint64(1640+i))
 	})
-	return faultTables(o, &Table{
+	return faultTables(&Table{
 		ID:      "fig-faults-brownout",
 		Title:   "telemetry brownout (all gauges frozen) hiding a 4 -> 28 Mpps flash crowd",
 		Columns: faultColumns,
@@ -298,7 +294,7 @@ func faultsOutagePanel(o Options) []*Table {
 	results := parMap(o, len(modes), func(i int) faultResult {
 		return faultRow(modes[i], procs, evs, d, warmup, faultEnd, 0, false, o.Seed+uint64(1660+i))
 	})
-	return faultTables(o, &Table{
+	return faultTables(&Table{
 		ID:      "fig-faults-outage",
 		Title:   "controller outage (ticks suppressed 160 ms) across a flash-crowd onset",
 		Columns: faultColumns,

@@ -46,7 +46,7 @@ func runTab2(o Options) []*Table {
 
 	// Metronome alone.
 	cfgAlone := core.DefaultConfig()
-	_, metAlone := singleQueueCBR(o, cfgAlone, pps, d, o.Seed+700)
+	_, metAlone := singleQueueCBR(cfgAlone, pps, d, o.Seed+700)
 
 	// Metronome with ferret on all three cores: its nice -20 wake-ups
 	// preempt ferret promptly, so it keeps its service rate and only the
@@ -58,7 +58,7 @@ func runTab2(o Options) []*Table {
 		cores[i].BusyWith = 1
 	}
 	cfgShared.Cores = cores
-	_, metShared := singleQueueCBR(o, cfgShared, pps, d, o.Seed+701)
+	_, metShared := singleQueueCBR(cfgShared, pps, d, o.Seed+701)
 
 	t := &Table{
 		ID:      "tab2",
@@ -98,7 +98,7 @@ func runFig12(o Options) []*Table {
 		cores[i].BusyWith = 1
 	}
 	cfg.Cores = cores
-	rt, _ := singleQueueCBR(o, cfg, traffic.Rate64B(10), d, o.Seed+702)
+	rt, _ := singleQueueCBR(cfg, traffic.Rate64B(10), d, o.Seed+702)
 	shares := make([]float64, cfg.M)
 	for i, u := range perThreadUtil(rt, d) {
 		shares[i] = 1 - u

@@ -7,6 +7,7 @@ import (
 	"metronome/internal/hrtimer"
 	"metronome/internal/model"
 	"metronome/internal/nic"
+	"metronome/internal/sched"
 	"metronome/internal/sim"
 	"metronome/internal/stats"
 	"metronome/internal/traffic"
@@ -82,8 +83,8 @@ func runFig4(o Options) []*Table {
 		for run := 0; run < runs; run++ {
 			cfg := core.DefaultConfig()
 			cfg.M = m
-			cfg.Adaptive = false
-			cfg.TSFixed = tsReq
+			cfg.Policy = sched.NameFixed
+			cfg.VBar = tsReq
 			cfg.TL = tsReq
 			// A touch of background-host noise so the rare > TL wake-ups
 			// of the paper's Fig 4 are represented.

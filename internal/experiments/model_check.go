@@ -5,6 +5,7 @@ import (
 
 	"metronome/internal/core"
 	"metronome/internal/model"
+	"metronome/internal/sched"
 	"metronome/internal/traffic"
 )
 
@@ -44,7 +45,6 @@ func runAblPoisson(o Options) []*Table {
 		cfg := core.DefaultConfig()
 		_, m := runMetronome(runSpec{
 			cfg:    cfg,
-			policy: overridePolicy(o, cfg),
 			procs:  []traffic.Process{p},
 			dur:    d,
 			warmup: d * 0.2,
@@ -80,8 +80,8 @@ func runAblBlend(o Options) []*Table {
 		pps := ppss[i]
 		cfg := core.DefaultConfig()
 		cfg.M = m
-		cfg.Adaptive = false
-		cfg.TSFixed = tsReq
+		cfg.Policy = sched.NameFixed
+		cfg.VBar = tsReq
 		rt, met := runMetronome(runSpec{
 			cfg:    cfg,
 			procs:  []traffic.Process{traffic.CBR{PPS: pps}},

@@ -50,7 +50,6 @@ func multiqueueSpec(o Options, nq, m int, totalPPS, d float64, seedOff uint64) r
 	}
 	return runSpec{
 		cfg:    cfg,
-		policy: overridePolicy(o, cfg),
 		procs:  procs,
 		dur:    d,
 		warmup: d * 0.2,
@@ -185,7 +184,7 @@ func runTab3(o Options) []*Table {
 	for i, s := range shares {
 		procs[i] = traffic.CBR{PPS: xl710Rate * s}
 	}
-	spec := runSpec{cfg: cfg, policy: overridePolicy(o, cfg), procs: procs, dur: d, warmup: d * 0.1, seed: o.Seed + 1100}
+	spec := runSpec{cfg: cfg, procs: procs, dur: d, warmup: d * 0.1, seed: o.Seed + 1100}
 	rt, _ := runMetronome(spec)
 	t := &Table{
 		ID:      "tab3",

@@ -227,10 +227,8 @@ func runPower(o Options) []*Table {
 			"placement replanning is off in this figure: the load is balanced, so a rebalance buys nothing, and replan churn mid-crowd transiently leaves lone attendants exactly when the storm lands (measured ~1.9 permille on this day) — fig-placement prices replanning on the skewed days it is for",
 		},
 	}
-	tables := []*Table{main}
-	if !o.NoHist {
-		tables = append(tables, tailsTable("fig-power-tails", "power day — exact latency tails", tails))
+	return []*Table{main,
+		tailsTable("fig-power-tails", "power day — exact latency tails", tails),
+		traceTable("fig-power-trace", "joules-objective arm across the power day — flight-recorder decision trace", rec),
 	}
-	return append(tables, traceTable("fig-power-trace",
-		"joules-objective arm across the power day — flight-recorder decision trace", rec))
 }

@@ -18,9 +18,8 @@ func init() {
 	})
 }
 
-// rmetronomePolicies are compared side by side; the deployments pin their
-// discipline, so the metrobench -policy override does not apply (the
-// comparison *is* the experiment).
+// rmetronomePolicies are compared side by side (the comparison *is* the
+// experiment).
 var rmetronomePolicies = []string{sched.NameAdaptive, sched.NameRMetronome, sched.NameWorkSteal}
 
 // rmetronomeSpec builds an N-queue deployment pinned to one discipline,
@@ -163,7 +162,7 @@ func runRMetronome(o Options) []*Table {
 		Title:   "service-turn split, rmetronome, 2 queues x 2-member groups",
 		Columns: []string{"thread", "home_queue", "cycles", "share_pct"},
 	}
-	total := rt.Cycles.Value
+	total := rt.Cycles
 	for id, c := range rt.CyclesByThread {
 		share := 0.0
 		if total > 0 {

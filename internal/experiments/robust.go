@@ -91,7 +91,7 @@ func runAblRobust(o Options) []*Table {
 		}
 		cfg.WakeOverrides = over
 		cfg.Cores = cores
-		_, met := singleQueueCBR(o, cfg, traffic.Rate64B(10), d, c.seed)
+		_, met := singleQueueCBR(cfg, traffic.Rate64B(10), d, c.seed)
 		return []string{
 			c.name, fmt.Sprintf("%d", c.hogged), permille(met.LossRate),
 			mpps(met.ThroughputPPS), us(met.MeanVacation),

@@ -53,7 +53,7 @@ func runTab1(o Options) []*Table {
 	t.Rows = parMap(o, len(vbars), func(i int) []string {
 		cfg := core.DefaultConfig()
 		cfg.VBar = vbars[i]
-		_, m := singleQueueCBR(o, cfg, traffic.Rate64B(10), d, o.Seed+uint64(i))
+		_, m := singleQueueCBR(cfg, traffic.Rate64B(10), d, o.Seed+uint64(i))
 		return []string{
 			f1(vbars[i] * 1e6), us(m.MeanVacation), us(m.MeanBusy),
 			f2(m.MeanNV), permille(m.LossRate),
@@ -76,7 +76,7 @@ func runFig5(o Options) []*Table {
 		gbps, vbar := rates[j/len(vbars)], vbars[j%len(vbars)]
 		cfg := core.DefaultConfig()
 		cfg.VBar = vbar
-		_, m := singleQueueCBR(o, cfg, traffic.Rate64B(gbps), d, o.Seed+uint64(100+j%len(vbars)))
+		_, m := singleQueueCBR(cfg, traffic.Rate64B(gbps), d, o.Seed+uint64(100+j%len(vbars)))
 		return []string{
 			f1(vbar * 1e6), us(m.Latency.Mean), us(m.Latency.Q1), us(m.Latency.Q3),
 			pct(m.CPUPercent),
@@ -105,7 +105,7 @@ func runFig6(o Options) []*Table {
 	t.Rows = parMap(o, len(tls), func(i int) []string {
 		cfg := core.DefaultConfig()
 		cfg.TL = tls[i]
-		_, m := singleQueueCBR(o, cfg, traffic.Rate64B(10), d, o.Seed+uint64(200+i))
+		_, m := singleQueueCBR(cfg, traffic.Rate64B(10), d, o.Seed+uint64(200+i))
 		return []string{
 			f1(tls[i] * 1e6), pct(m.BusyTryFrac * 100), pct(m.CPUPercent),
 		}
@@ -125,7 +125,7 @@ func runFig7(o Options) []*Table {
 	t.Rows = parMap(o, len(ms), func(i int) []string {
 		cfg := core.DefaultConfig()
 		cfg.M = ms[i]
-		_, met := singleQueueCBR(o, cfg, traffic.Rate64B(10), d, o.Seed+uint64(300+i))
+		_, met := singleQueueCBR(cfg, traffic.Rate64B(10), d, o.Seed+uint64(300+i))
 		return []string{
 			fmt.Sprintf("%d", ms[i]), pct(met.BusyTryFrac * 100), pct(met.CPUPercent),
 		}
@@ -141,7 +141,7 @@ func runFig8(o Options) []*Table {
 		gbps, m := rates[j/len(ms)], ms[j%len(ms)]
 		cfg := core.DefaultConfig()
 		cfg.M = m
-		_, met := singleQueueCBR(o, cfg, traffic.Rate64B(gbps), d, o.Seed+uint64(400+j%len(ms)))
+		_, met := singleQueueCBR(cfg, traffic.Rate64B(gbps), d, o.Seed+uint64(400+j%len(ms)))
 		return []string{
 			fmt.Sprintf("%d", m),
 			us(met.Latency.Mean), us(met.Latency.Q1), us(met.Latency.Q3),

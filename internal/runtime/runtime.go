@@ -144,6 +144,9 @@ func FreeAll(q int, ms []*mbuf.Mbuf, verdicts []apps.Verdict) {
 	mbuf.FreeBurst(ms)
 }
 
+// Burst is the PollBurst size of every retrieval goroutine.
+const Burst = 32
+
 // Config tunes the runner; zero fields take the paper's defaults.
 type Config struct {
 	// M is the number of retrieval goroutines (default 3).
@@ -158,20 +161,13 @@ type Config struct {
 	VBar time.Duration
 	// TL is the backup timeout (default 50*VBar).
 	TL time.Duration
-	// Alpha is the load-estimator EWMA (default 0.125).
-	Alpha float64
-	// Burst is the PollBurst size (default 32).
-	Burst int
 	// Policy names the scheduling discipline from the sched registry
-	// ("adaptive", "fixed", "busypoll", "rmetronome", "worksteal", ...).
-	// Empty defaults to adaptive,
-	// or fixed when TSFixed is set. Like New's other validations, an
+	// ("adaptive", "fixed", "busypoll", "rmetronome", "worksteal", ...);
+	// empty means adaptive. The policy name is the only selector: the
+	// fixed discipline sleeps VBar. Like New's other validations, an
 	// unknown name panics at construction; pre-validate user-supplied
 	// names with sched.New / metronome.PolicyNames.
 	Policy string
-	// TSFixed pins the short timeout, disabling the eq. (13)/(14) rule
-	// (consulted only when Policy is empty or "fixed").
-	TSFixed time.Duration
 	// Sleeper is the sleep service (default hrtimer.GoSleeper).
 	Sleeper hrtimer.Sleeper
 	// Bus, when set, receives live telemetry: per-queue ring occupancy,
@@ -214,12 +210,6 @@ func (c *Config) defaults() {
 	}
 	if c.TL <= 0 {
 		c.TL = 50 * c.VBar
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.125
-	}
-	if c.Burst <= 0 {
-		c.Burst = 32
 	}
 	if c.Sleeper == nil {
 		c.Sleeper = hrtimer.GoSleeper{}
@@ -321,21 +311,11 @@ func NewProc(queues []RxQueue, procs []apps.BurstProcessor, emit EmitFunc, cfg C
 	if cfg.M < len(queues) {
 		cfg.M = len(queues) // every queue deserves a primary (Sec. IV-E)
 	}
-	name := cfg.Policy
-	if name == "" {
-		if cfg.TSFixed > 0 {
-			name = sched.NameFixed
-		} else {
-			name = sched.NameAdaptive
-		}
-	}
-	cyc, err := sched.NewCycle(name, sched.Config{
+	cyc, err := sched.NewCycle(cfg.Policy, sched.Config{
 		VBar:    cfg.VBar.Seconds(),
 		TL:      cfg.TL.Seconds(),
-		TSFixed: cfg.TSFixed.Seconds(),
 		M:       cfg.M,
 		N:       len(queues),
-		Alpha:   cfg.Alpha,
 		Bus:     cfg.Bus,
 		Dephase: cfg.Dephase,
 	}, cfg.Faults)
@@ -572,17 +552,17 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 	// makes every coordinate perturb the whole stream (regression-tested by
 	// TestThreadRNGStreamsDependOnQueueCount).
 	rng := xrand.New(xrand.SeedFrom(r.cfg.Seed, uint64(id), uint64(len(r.queues))))
-	buf := make([]*mbuf.Mbuf, r.cfg.Burst)
+	buf := make([]*mbuf.Mbuf, Burst)
 	// The verdict buffer is goroutine-owned and reused for every burst — the
 	// steady state allocates nothing.
-	verdicts := make([]apps.Verdict, r.cfg.Burst)
+	verdicts := make([]apps.Verdict, Burst)
 	// The default disposal path returns each verdict burst through this
 	// goroutine's recycler: one bulk PutBurst per burst into a per-pool
 	// magazine cache, spilled to the shared ring in spans. Flushed on every
 	// park and on exit so elastic retirement never strands buffers.
 	var recycle mbuf.Recycler
 	defer recycle.Flush()
-	lats := make([]uint64, 0, r.cfg.Burst) // per-burst latency scratch for the bus histogram
+	lats := make([]uint64, 0, Burst) // per-burst latency scratch for the bus histogram
 	q := id % len(r.queues)
 	var busyTotal time.Duration // cumulative on-CPU time, published as duty
 	for ctx.Err() == nil {
@@ -782,7 +762,7 @@ type StaticPoller struct {
 func (s *StaticPoller) Run(ctx context.Context) {
 	burst := s.Burst
 	if burst <= 0 {
-		burst = 32
+		burst = Burst
 	}
 	var wg sync.WaitGroup
 	for _, q := range s.Queues {

@@ -303,8 +303,7 @@ func TestBackupBehaviourMultiqueue(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	var c Config
 	c.defaults()
-	if c.M != 3 || c.VBar != 200*time.Microsecond || c.TL != 50*c.VBar ||
-		c.Alpha != 0.125 || c.Burst != 32 || c.Sleeper == nil {
+	if c.M != 3 || c.VBar != 200*time.Microsecond || c.TL != 50*c.VBar || c.Sleeper == nil {
 		t.Errorf("defaults wrong: %+v", c)
 	}
 }

@@ -36,11 +36,15 @@ type Cycle struct {
 	n       int
 }
 
-// NewCycle builds the named policy for cfg and the cycle around it. It
-// fails on an unknown policy name and on a bus sized for fewer queues than
-// the deployment, which would otherwise die with an index panic at
-// whichever per-queue publish came first.
+// NewCycle builds the named policy for cfg and the cycle around it; an
+// empty name means adaptive — the one place both substrates resolve that
+// default. It fails on an unknown policy name and on a bus sized for fewer
+// queues than the deployment, which would otherwise die with an index panic
+// at whichever per-queue publish came first.
 func NewCycle(name string, cfg Config, f *faults.Injector) (Cycle, error) {
+	if name == "" {
+		name = NameAdaptive
+	}
 	cfg = cfg.normalized()
 	if cfg.Bus != nil && cfg.Bus.Queues() < cfg.N {
 		return Cycle{}, fmt.Errorf("sched: telemetry bus has %d queue slots, deployment has %d queues",

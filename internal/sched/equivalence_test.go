@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,41 +17,6 @@ import (
 	"metronome/internal/traffic"
 	"metronome/internal/xrand"
 )
-
-// newTwins builds the discrete-event twin and the live runner over the
-// same deployment shape (M threads, N queues, identical VBar/TL/Alpha).
-func newTwins(t *testing.T, m, n int) (*core.Runtime, *runtime.Runner) {
-	t.Helper()
-	eng := sim.New()
-	root := xrand.New(1)
-	queues := make([]*nic.Queue, n)
-	for i := range queues {
-		queues[i] = nic.NewQueue(i, traffic.CBR{PPS: 0}, root.Split(), nic.DefaultOptions())
-	}
-	simCfg := core.DefaultConfig()
-	simCfg.M = m
-	simCfg.VBar = 10e-6
-	simCfg.TL = 500e-6
-	simCfg.Alpha = 0.125
-	rt := core.New(eng, queues, simCfg)
-
-	rxs := make([]runtime.RxQueue, n)
-	for i := range rxs {
-		r, err := ring.NewMPMC[*mbuf.Mbuf](8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rxs[i] = runtime.RingQueue{R: r}
-	}
-	liveCfg := runtime.Config{
-		M:     m,
-		VBar:  10 * time.Microsecond,
-		TL:    500 * time.Microsecond,
-		Alpha: 0.125,
-	}
-	runner := runtime.New(rxs, func([]*mbuf.Mbuf) {}, liveCfg)
-	return rt, runner
-}
 
 // TestSimLiveTSEquivalence is the acceptance check of the policy layer:
 // for identical (rho, M, N) the sim twin and the live runtime must compute
@@ -71,7 +37,7 @@ func TestSimLiveTSEquivalence(t *testing.T) {
 		{10e-6, 999.9e-6}, // long vacation tail
 	}
 	for _, shape := range []struct{ m, n int }{{3, 1}, {4, 2}, {6, 3}} {
-		rt, runner := newTwins(t, shape.m, shape.n)
+		rt, runner := newTwins(t, "", shape.m, shape.n)
 		simPol, livePol := rt.Policy(), runner.Policy()
 		if simPol.Name() != livePol.Name() {
 			t.Fatalf("policy names differ: %q vs %q", simPol.Name(), livePol.Name())
@@ -103,6 +69,34 @@ func TestSimLiveTSEquivalence(t *testing.T) {
 	}
 }
 
+// TestSimLivePolicyResolution: the policy name is the only selector, and
+// both substrates resolve it through sched.NewCycle — the empty name to
+// adaptive — so for every registered name the twin and the live runner
+// build the same discipline, and under fixed both sleep VBar.
+func TestSimLivePolicyResolution(t *testing.T) {
+	for _, name := range append([]string{""}, sched.Names()...) {
+		if strings.HasPrefix(name, "test-") {
+			continue // registered by this package's own tests
+		}
+		want := name
+		if want == "" {
+			want = sched.NameAdaptive
+		}
+		rt, runner := newTwins(t, name, 4, 2)
+		if sim, live := rt.Policy().Name(), runner.Policy().Name(); sim != want || live != want {
+			t.Errorf("policy %q: twin built %q, live runner %q, want %q", name, sim, live, want)
+		}
+		if want != sched.NameFixed {
+			continue
+		}
+		for q := 0; q < 2; q++ {
+			if rt.TS(q) != 10e-6 || runner.TS(q) != 10*time.Microsecond {
+				t.Errorf("fixed q=%d: twin TS %v, live TS %v, want VBar = 10us", q, rt.TS(q), runner.TS(q))
+			}
+		}
+	}
+}
+
 // TestBusyPollZeroCostTerminates pins the spin-path floor: a config with
 // zero WakeCost (anything not built via DefaultConfig) must still advance
 // the engine clock under busypoll instead of re-enqueueing at the same
@@ -111,12 +105,11 @@ func TestBusyPollZeroCostTerminates(t *testing.T) {
 	eng := sim.New()
 	root := xrand.New(1)
 	q := nic.NewQueue(0, traffic.CBR{PPS: 0}, root.Split(), nic.DefaultOptions())
-	cfg := core.Config{M: 1, VBar: 10e-6, TL: 500e-6, Mu: 1e6, MaxSlice: 200e-6,
-		Policy: sched.NameBusyPoll}
+	cfg := core.Config{M: 1, VBar: 10e-6, TL: 500e-6, Mu: 1e6, Policy: sched.NameBusyPoll}
 	rt := core.New(eng, []*nic.Queue{q}, cfg)
 	rt.Start()
 	eng.RunUntil(1e-3)
-	if rt.Tries.Value == 0 {
+	if rt.Tries == 0 {
 		t.Fatal("poller never polled")
 	}
 }
@@ -162,8 +155,10 @@ func TestBusyPollSubsumesStaticBaseline(t *testing.T) {
 	}
 }
 
-// newTwinsPolicy builds the twins pinned to one discipline.
-func newTwinsPolicy(t *testing.T, policy string, m, n int) (*core.Runtime, *runtime.Runner) {
+// newTwins builds the discrete-event twin and the live runner over the
+// same deployment shape (M threads, N queues, identical VBar/TL) under one
+// policy name.
+func newTwins(t *testing.T, policy string, m, n int) (*core.Runtime, *runtime.Runner) {
 	t.Helper()
 	eng := sim.New()
 	root := xrand.New(1)
@@ -175,7 +170,6 @@ func newTwinsPolicy(t *testing.T, policy string, m, n int) (*core.Runtime, *runt
 	simCfg.M = m
 	simCfg.VBar = 10e-6
 	simCfg.TL = 500e-6
-	simCfg.Alpha = 0.125
 	simCfg.Policy = policy
 	rt := core.New(eng, queues, simCfg)
 
@@ -191,7 +185,6 @@ func newTwinsPolicy(t *testing.T, policy string, m, n int) (*core.Runtime, *runt
 		M:      m,
 		VBar:   10 * time.Microsecond,
 		TL:     500 * time.Microsecond,
-		Alpha:  0.125,
 		Policy: policy,
 	})
 	return rt, runner
@@ -213,7 +206,7 @@ func TestSimLiveRMetronomeEquivalence(t *testing.T) {
 	}
 	for _, policy := range []string{sched.NameRMetronome, sched.NameWorkSteal} {
 		for _, shape := range []struct{ m, n int }{{4, 2}, {6, 3}, {7, 3}} {
-			rt, runner := newTwinsPolicy(t, policy, shape.m, shape.n)
+			rt, runner := newTwins(t, policy, shape.m, shape.n)
 			simPol, livePol := rt.Policy(), runner.Policy()
 			if simPol.Name() != policy || livePol.Name() != policy {
 				t.Fatalf("policy names: sim %q live %q, want %q", simPol.Name(), livePol.Name(), policy)
@@ -279,7 +272,7 @@ func TestSimLivePlacementEquivalence(t *testing.T) {
 		{[]int{0, 2}, 10e-6, 30e-6}, // clamps to {1, 2}
 	}
 	for _, policy := range []string{sched.NameRMetronome, sched.NameWorkSteal} {
-		rt, runner := newTwinsPolicy(t, policy, 4, 2)
+		rt, runner := newTwins(t, policy, 4, 2)
 		simPol, livePol := rt.Policy(), runner.Policy()
 		simG := rt.Group()
 		liveG := livePol.(sched.GroupPolicy)
@@ -367,7 +360,7 @@ func TestSimLiveResizeEquivalence(t *testing.T) {
 		{7, 10e-6, 30e-6},
 	}
 	for _, policy := range []string{sched.NameRMetronome, sched.NameWorkSteal, sched.NameAdaptive} {
-		rt, runner := newTwinsPolicy(t, policy, 4, 2)
+		rt, runner := newTwins(t, policy, 4, 2)
 		simPol, livePol := rt.Policy(), runner.Policy()
 		for step, s := range script {
 			if s.resizeTo != 0 {

@@ -16,6 +16,10 @@ type atomicF64 struct {
 func (a *atomicF64) Load() float64   { return math.Float64frombits(a.bits.Load()) }
 func (a *atomicF64) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 
+// Alpha is the EWMA smoothing of the load estimator, eq. (11)'s α: the
+// paper's 0.125.
+const Alpha = 0.125
+
 // RhoEstimator maintains one EWMA load estimate per queue (eq. 11),
 // combining each cycle's busy and vacation period through eq. (4). It
 // follows the paper's runtime in initialising the average directly from the
@@ -23,28 +27,20 @@ func (a *atomicF64) Store(v float64) { a.bits.Store(math.Float64bits(v)) }
 // must be serialised per queue (the lock holder's privilege), matching how
 // both execution substrates call it.
 type RhoEstimator struct {
-	alpha   float64
 	rho     []atomicF64
 	started []atomic.Bool
 }
 
 // NewRhoEstimator builds an estimator over n queues.
-func NewRhoEstimator(n int, alpha float64) *RhoEstimator {
+func NewRhoEstimator(n int) *RhoEstimator {
 	if n < 1 {
 		n = 1
 	}
-	if alpha <= 0 {
-		alpha = 0.125
-	}
 	return &RhoEstimator{
-		alpha:   alpha,
 		rho:     make([]atomicF64, n),
 		started: make([]atomic.Bool, n),
 	}
 }
-
-// Alpha returns the smoothing factor.
-func (e *RhoEstimator) Alpha() float64 { return e.alpha }
 
 // Rho returns queue q's current estimate.
 func (e *RhoEstimator) Rho(q int) float64 { return e.rho[q].Load() }
@@ -58,7 +54,7 @@ func (e *RhoEstimator) Observe(q int, busy, vacation float64) float64 {
 		e.started[q].Store(true)
 		next = sample
 	} else {
-		next = (1-e.alpha)*e.rho[q].Load() + e.alpha*sample
+		next = (1-Alpha)*e.rho[q].Load() + Alpha*sample
 	}
 	e.rho[q].Store(next)
 	return next

@@ -14,16 +14,12 @@ type FixedTS struct {
 	base
 }
 
-// NewFixedTS builds the fixed policy; TSFixed zero falls back to VBar.
+// NewFixedTS builds the fixed policy: every thread sleeps VBar.
 func NewFixedTS(cfg Config) *FixedTS {
 	p := &FixedTS{}
 	p.base.init(cfg)
-	ts := p.cfg.TSFixed
-	if ts <= 0 {
-		ts = p.cfg.VBar
-	}
 	for q := range p.ts {
-		p.ts[q].Store(ts)
+		p.ts[q].Store(p.cfg.VBar)
 	}
 	return p
 }

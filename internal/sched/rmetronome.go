@@ -154,8 +154,7 @@ func (p *RMetronome) ObserveCycle(q int, busy, vacation float64) float64 {
 	ts := p.evaluate(p.layout.Load(), q, p.est.Observe(q, busy, vacation))
 	p.ts[q].Store(ts)
 	if p.cfg.Dephase {
-		alpha := p.est.Alpha()
-		p.bmean[q].Store((1-alpha)*p.bmean[q].Load() + alpha*busy)
+		p.bmean[q].Store((1-Alpha)*p.bmean[q].Load() + Alpha*busy)
 	}
 	return ts
 }

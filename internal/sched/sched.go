@@ -46,14 +46,8 @@ type Config struct {
 	VBar float64
 	// TL is the backup (long) timeout in seconds.
 	TL float64
-	// TSFixed is the constant short timeout of the fixed discipline; zero
-	// falls back to VBar.
-	TSFixed float64
 	// M is the number of retrieval threads, N the number of Rx queues.
 	M, N int
-	// Alpha is the EWMA smoothing of the load estimator (eq. 11);
-	// zero takes the paper's 0.125.
-	Alpha float64
 	// BackupSticky makes a losing thread re-contend the same queue
 	// instead of re-targeting a random one (the anti-Sec. IV-E strawman).
 	BackupSticky bool
@@ -80,9 +74,6 @@ func (c Config) normalized() Config {
 	}
 	if c.N < 1 {
 		c.N = 1
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = 0.125
 	}
 	return c
 }
@@ -279,12 +270,8 @@ func Register(name string, f Factory) {
 	registry[name] = f
 }
 
-// New builds the named policy; an empty name means the default adaptive
-// discipline.
+// New builds the named policy.
 func New(name string, cfg Config) (Policy, error) {
-	if name == "" {
-		name = NameAdaptive
-	}
 	regMu.RLock()
 	f, ok := registry[name]
 	regMu.RUnlock()
@@ -330,7 +317,7 @@ type base struct {
 func (b *base) init(cfg Config) {
 	cfg = cfg.normalized()
 	b.cfg = cfg
-	b.est = NewRhoEstimator(cfg.N, cfg.Alpha)
+	b.est = NewRhoEstimator(cfg.N)
 	b.ts = make([]atomicF64, cfg.N)
 	b.m.Store(int64(cfg.M))
 }

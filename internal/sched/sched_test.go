@@ -9,7 +9,7 @@ import (
 )
 
 func testConfig() Config {
-	return Config{VBar: 10e-6, TL: 500e-6, M: 3, N: 1, Alpha: 0.125}
+	return Config{VBar: 10e-6, TL: 500e-6, M: 3, N: 1}
 }
 
 // driveTo pins queue q's estimate at rho and feeds one cycle whose sample
@@ -33,9 +33,7 @@ func TestTSVsRho(t *testing.T) {
 			func(cfg Config, rho float64) float64 {
 				return model.TSForTargetMultiqueue(cfg.VBar, rho, cfg.M, cfg.N)
 			}},
-		{NameFixed, func() Config { c := testConfig(); c.TSFixed = 7e-6; return c }(),
-			func(cfg Config, rho float64) float64 { return cfg.TSFixed }},
-		{NameFixed, testConfig(), // TSFixed unset falls back to VBar
+		{NameFixed, func() Config { c := testConfig(); c.VBar = 7e-6; return c }(),
 			func(cfg Config, rho float64) float64 { return cfg.VBar }},
 		{NameBusyPoll, testConfig(), func(Config, float64) float64 { return 0 }},
 	}
@@ -96,7 +94,7 @@ func TestTimeoutDefaultsAndTL(t *testing.T) {
 }
 
 func TestRhoEstimator(t *testing.T) {
-	e := NewRhoEstimator(2, 0.125)
+	e := NewRhoEstimator(2)
 	if e.Rho(0) != 0 {
 		t.Fatal("fresh estimator not zero")
 	}
@@ -118,7 +116,7 @@ func TestRhoEstimator(t *testing.T) {
 		t.Fatal("Set did not stick")
 	}
 	// A zero-length cycle contributes rho = 0, not NaN.
-	e2 := NewRhoEstimator(1, 0.5)
+	e2 := NewRhoEstimator(1)
 	if got := e2.Observe(0, 0, 0); got != 0 || math.IsNaN(got) {
 		t.Fatalf("degenerate cycle = %v", got)
 	}
@@ -172,10 +170,9 @@ func TestRegistry(t *testing.T) {
 	if _, err := New("no-such-policy", testConfig()); err == nil {
 		t.Error("unknown policy did not error")
 	}
-	// Empty name resolves to the adaptive default.
-	p, err := New("", testConfig())
-	if err != nil || p.Name() != NameAdaptive {
-		t.Errorf("default policy = %v, %v", p, err)
+	// The empty name is resolved by NewCycle alone (TestSimLivePolicyResolution).
+	if _, err := New("", testConfig()); err == nil {
+		t.Error("New resolved the empty name")
 	}
 	// Applications can plug their own discipline.
 	Register("test-custom", func(cfg Config) Policy { return NewFixedTS(cfg) })

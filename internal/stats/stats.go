@@ -1,7 +1,7 @@
 // Package stats provides the streaming statistics the experiment harness
 // uses to summarise simulation output: Welford accumulators, reservoir-free
-// exact samples, boxplot five-number summaries, EWMA load estimators and
-// empirical distribution helpers.
+// exact samples, boxplot five-number summaries and empirical distribution
+// helpers.
 package stats
 
 import (
@@ -81,100 +81,37 @@ func (w *Welford) Merge(o *Welford) {
 	w.n = n
 }
 
-// Sample collects raw values for quantile estimation. Quantiles are exact
-// only while the sample is unbounded: once an optional cap (SetCap) has
-// triggered, the retained set is a uniform thinning of the stream, and
-// extreme tail quantiles (p99.9 and beyond) are reported by subsample luck
-// — a capped Sample holding 1/k of the stream has likely discarded the
-// true maximum. Readers that need exact tails should use LogHistogram,
+// Sample collects every raw value for exact quantiles. Memory grows with
+// the stream; readers that need bounded memory should use LogHistogram,
 // which keeps every observation at a bounded (~3.1%) bucket resolution.
 type Sample struct {
 	xs     []float64
 	sorted bool
-	capN   int
-	stride int // accept every stride-th Add after a thinning pass
-	skip   int // Adds discarded since the last accepted one
 }
 
-// SetCap bounds the number of retained values. When an Add (or Merge)
-// would grow the sample past the cap, every other retained value is
-// dropped and the acceptance stride doubles, so the retained set stays a
-// uniform subsample of the stream. n <= 0 removes the bound. Quantiles and
-// moments remain estimates of the same distribution; only their
-// resolution degrades.
-func (s *Sample) SetCap(n int) {
-	if n < 0 {
-		n = 0
-	}
-	s.capN = n
-	if n == 0 {
-		// Removing the bound must also stop the thinning, or the sample
-		// would keep discarding (stride-1)/stride of all future Adds.
-		s.stride, s.skip = 0, 0
-		return
-	}
-	s.enforceCap()
-}
-
-// Cap returns the configured retention bound (0 = unbounded).
-func (s *Sample) Cap() int { return s.capN }
-
-// Reset discards the retained values and any thinning state but keeps the
-// configured cap and the backing array, so a Reset+Merge cycle allocates
-// only when it outgrows the previous high-water mark — the reusable-buffer
-// contract core.Snapshot leans on.
+// Reset discards the retained values but keeps the backing array, so a
+// Reset+Merge cycle allocates only when it outgrows the previous
+// high-water mark — the reusable-buffer contract core.Snapshot leans on.
 func (s *Sample) Reset() {
 	s.xs = s.xs[:0]
 	s.sorted = false
-	s.stride, s.skip = 0, 0
 }
 
-// enforceCap thins the retained values to at most capN, doubling the
-// acceptance stride per halving pass.
-func (s *Sample) enforceCap() {
-	if s.capN <= 0 {
-		return
-	}
-	for len(s.xs) > s.capN {
-		kept := s.xs[:0]
-		for i := 0; i < len(s.xs); i += 2 {
-			kept = append(kept, s.xs[i])
-		}
-		s.xs = kept
-		if s.stride == 0 {
-			s.stride = 1
-		}
-		s.stride *= 2
-	}
-}
-
-// Add appends a value (subject to the thinning stride once a cap has
-// triggered).
+// Add appends a value.
 func (s *Sample) Add(x float64) {
-	if s.stride > 1 {
-		s.skip++
-		if s.skip < s.stride {
-			return
-		}
-		s.skip = 0
-	}
 	s.xs = append(s.xs, x)
 	s.sorted = false
-	s.enforceCap()
 }
 
-// Merge folds another sample's retained values into s in one append —
-// equivalent to Add-ing every element of o.Values() but without the
-// per-element bookkeeping. o is left usable (its values get sorted, which
-// Values does anyway). The thinning stride does not apply to merges; the
-// cap, if set, is re-enforced afterwards.
+// Merge folds another sample's values into s in one append — equivalent
+// to Add-ing every element of o.Values(). o is left usable (its values get
+// sorted, which Values does anyway).
 func (s *Sample) Merge(o *Sample) {
 	if o == nil || len(o.xs) == 0 {
 		return
 	}
 	s.xs = append(s.xs, o.Values()...)
 	s.sorted = false
-	s.enforceCap()
 }
 
 // N returns the sample size.
@@ -268,35 +205,6 @@ func (b Boxplot) String() string {
 		b.Min, b.Q1, b.Median, b.Q3, b.Max, b.Mean, b.N)
 }
 
-// EWMA is the exponentially weighted moving average of eq. (11):
-// rho(i) = (1-alpha)*rho(i-1) + alpha*x.
-type EWMA struct {
-	Alpha   float64
-	value   float64
-	started bool
-}
-
-// NewEWMA returns an estimator with the given smoothing factor.
-func NewEWMA(alpha float64) *EWMA { return &EWMA{Alpha: alpha} }
-
-// Update folds in an observation and returns the new estimate. The first
-// observation initialises the average directly, as the paper's runtime does.
-func (e *EWMA) Update(x float64) float64 {
-	if !e.started {
-		e.value = x
-		e.started = true
-		return x
-	}
-	e.value = (1-e.Alpha)*e.value + e.Alpha*x
-	return e.value
-}
-
-// Value returns the current estimate (0 before any update).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Started reports whether any observation has been folded in.
-func (e *EWMA) Started() bool { return e.started }
-
 // Histogram is a fixed-width binned counter over [Lo, Hi); out-of-range
 // values clamp to the edge bins, so no sample is lost.
 type Histogram struct {
@@ -379,19 +287,6 @@ func (h *Histogram) KSDistance(cdf func(float64) float64) float64 {
 	}
 	return worst
 }
-
-// Counter is a monotonically increasing event tally with a name, the unit
-// the simulator uses for busy tries, drops, lock acquisitions, etc.
-type Counter struct {
-	Name  string
-	Value int64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Addn adds n.
-func (c *Counter) Addn(n int64) { c.Value += n }
 
 // Ratio returns c.Value / total (0 when total is 0).
 func Ratio(part, total int64) float64 {

@@ -137,32 +137,6 @@ func TestBoxplot(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Started() {
-		t.Fatal("fresh EWMA claims started")
-	}
-	if got := e.Update(10); got != 10 {
-		t.Fatalf("first update = %v, want 10 (direct init)", got)
-	}
-	if got := e.Update(0); got != 5 {
-		t.Fatalf("second update = %v, want 5", got)
-	}
-	if e.Value() != 5 {
-		t.Fatalf("Value = %v", e.Value())
-	}
-}
-
-func TestEWMAConvergesToConstant(t *testing.T) {
-	e := NewEWMA(0.1)
-	for i := 0; i < 200; i++ {
-		e.Update(0.7)
-	}
-	if math.Abs(e.Value()-0.7) > 1e-9 {
-		t.Errorf("EWMA of constant input = %v", e.Value())
-	}
-}
-
 func TestHistogramDensityIntegratesToOne(t *testing.T) {
 	h := NewHistogram(0, 10, 50)
 	r := xrand.New(2)
@@ -234,14 +208,11 @@ func TestHistogramPanicsOnBadShape(t *testing.T) {
 }
 
 func TestCounterAndRatio(t *testing.T) {
-	c := Counter{Name: "busy_tries"}
-	c.Inc()
-	c.Addn(9)
-	if c.Value != 10 {
-		t.Fatalf("counter = %d", c.Value)
-	}
-	if Ratio(c.Value, 40) != 0.25 {
-		t.Errorf("Ratio = %v", Ratio(c.Value, 40))
+	var c int64 // the twin's counters are plain tallies
+	c++
+	c += 9
+	if Ratio(c, 40) != 0.25 {
+		t.Errorf("Ratio = %v", Ratio(c, 40))
 	}
 	if Ratio(1, 0) != 0 {
 		t.Errorf("Ratio with zero total should be 0")
@@ -290,68 +261,12 @@ func TestSampleMergeEmptyAndNil(t *testing.T) {
 	}
 }
 
-func TestSampleCapThinsUniformly(t *testing.T) {
-	var s Sample
-	s.SetCap(64)
-	for i := 0; i < 10000; i++ {
-		s.Add(float64(i))
-	}
-	if s.N() > 64 {
-		t.Fatalf("retained %d > cap 64", s.N())
-	}
-	if s.N() < 16 {
-		t.Fatalf("retained %d, over-thinned", s.N())
-	}
-	// The retained subsample still spans the stream and keeps its quantiles
-	// roughly in place (values were 0..9999 uniform).
-	if med := s.Quantile(0.5); med < 2500 || med > 7500 {
-		t.Errorf("median of thinned uniform stream = %v", med)
-	}
-	if s.Quantile(1) < 7500 {
-		t.Errorf("max of thinned stream = %v, tail lost", s.Quantile(1))
-	}
-	if s.Quantile(0) > 2500 {
-		t.Errorf("min of thinned stream = %v, head lost", s.Quantile(0))
-	}
-}
-
-func TestSampleCapOnMerge(t *testing.T) {
-	var big, s Sample
-	for i := 0; i < 1000; i++ {
-		big.Add(float64(i))
-	}
-	s.SetCap(100)
-	s.Merge(&big)
-	if s.N() > 100 {
-		t.Fatalf("merge overshot cap: %d", s.N())
-	}
-	if s.N() < 25 {
-		t.Fatalf("merge over-thinned: %d", s.N())
-	}
-}
-
 func TestSampleUncappedUnchanged(t *testing.T) {
 	var s Sample
 	for i := 0; i < 1000; i++ {
 		s.Add(float64(i))
 	}
-	if s.N() != 1000 || s.Cap() != 0 {
-		t.Fatalf("uncapped sample thinned: n=%d cap=%d", s.N(), s.Cap())
-	}
-}
-
-func TestSampleUncapResumesRetention(t *testing.T) {
-	var s Sample
-	s.SetCap(64)
-	for i := 0; i < 10000; i++ {
-		s.Add(float64(i))
-	}
-	s.SetCap(0)
-	before := s.N()
-	for i := 0; i < 1000; i++ {
-		s.Add(float64(10000 + i))
-	}
-	if s.N() != before+1000 {
-		t.Fatalf("after SetCap(0), %d of 1000 Adds retained", s.N()-before)
+	if s.N() != 1000 {
+		t.Fatalf("sample thinned: n=%d", s.N())
 	}
 }

@@ -74,6 +74,9 @@ type (
 	// Handler consumes bursts of packets; it owns freeing the mbufs.
 	Handler = runtime.Handler
 	// RunnerConfig tunes a Runner; the zero value takes paper defaults.
+	// Policy is the only discipline selector (empty means adaptive; fixed
+	// sleeps VBar). The EWMA α and the PollBurst size are constants
+	// (sched.Alpha = 0.125, runtime.Burst = 32).
 	RunnerConfig = runtime.Config
 	// Runner drives M goroutines over N shared queues, Metronome style.
 	Runner = runtime.Runner
@@ -197,7 +200,7 @@ type (
 const (
 	// PolicyAdaptive is the paper's eq. (13)/(14) discipline.
 	PolicyAdaptive = sched.NameAdaptive
-	// PolicyFixed sleeps a constant short timeout.
+	// PolicyFixed sleeps the target vacation VBar on every wake.
 	PolicyFixed = sched.NameFixed
 	// PolicyBusyPoll never sleeps — classic DPDK polling (Listing 1).
 	PolicyBusyPoll = sched.NameBusyPoll
@@ -250,7 +253,10 @@ type (
 	// relative resolution. Useful standalone for any latency-shaped data.
 	LatencyHistogram = stats.LogHistogram
 	// ElasticConfig tunes the control plane: control period, core budget,
-	// occupancy target, PI gains, hysteresis and cooldown.
+	// occupancy target, cooldown, placement, feedforward, objective and the
+	// health layer. The PI gains, loss gain, hysteresis, signal smoothing
+	// and the health layer's tick bounds are constants of internal/elastic,
+	// calibrated by the fig-elastic experiment.
 	ElasticConfig = elastic.Config
 	// ElasticController is the occupancy/loss PI controller driving a
 	// resizable team.
@@ -495,7 +501,10 @@ func ExpectedVacation(ts, tl time.Duration, m int) time.Duration {
 // --- simulation --------------------------------------------------------------
 
 // SimConfig parameterises the discrete-event twin; see the fields of
-// internal/core.Config.
+// internal/core.Config. Policy is the only discipline selector (empty
+// means adaptive; fixed sleeps VBar). The service-rate noise, the fluid
+// slice bound and the EWMA α are constants (core.MuSigma = 0.08,
+// core.MaxSlice = 200us, sched.Alpha = 0.125).
 type SimConfig = core.Config
 
 // SimMetrics summarises one simulated run.

@@ -368,7 +368,7 @@ func TestSimulateRingCap(t *testing.T) {
 	cfg.M = 1
 	cfg.Seed = 3
 	cfg.Policy = metronome.PolicyFixed
-	cfg.TSFixed = 300e-6 // long fixed timeout: bursts pile up between polls
+	cfg.VBar = 300e-6 // long fixed timeout: bursts pile up between polls
 	burst := metronome.CBR{PPS: 10e6}
 	cfg.RingCap = 32
 	small := metronome.Simulate(cfg, []metronome.Traffic{burst}, 20*time.Millisecond)
