@@ -22,7 +22,6 @@ import (
 	"math"
 
 	"metronome/internal/core"
-	"metronome/internal/cpu"
 	"metronome/internal/nic"
 	"metronome/internal/sched"
 	"metronome/internal/sim"
@@ -110,12 +109,7 @@ func Static(cfg StaticConfig, lambda float64) Result {
 	rt.Start()
 	warm := cfg.Dur * 0.2
 	eng.RunUntil(warm)
-	for _, q := range queues {
-		q.Reset(eng.Now())
-	}
-	// Restart CPU accounting so the snapshot covers the post-warm-up
-	// window only (same idiom as the experiment harness).
-	rt.Acct = cpu.NewAccounting(rt.ThreadCount())
+	rt.ResetWindow(eng.Now())
 	eng.RunUntil(warm + cfg.Dur)
 	m := rt.Snapshot(cfg.Dur)
 

@@ -88,12 +88,12 @@ type Config struct {
 	// pointer test per wakeup.
 	Faults *faults.Injector
 	// RingCap overrides the Rx descriptor-ring capacity of every queue the
-	// deployment *builders* construct (the facade's Simulate/
-	// SimulateElastic and the experiment harness; zero keeps each builder's
-	// default). core.New itself receives already-built queues and ignores
-	// it — the field rides on Config so one knob (metrosim -cap) reaches
-	// every construction site. The elastic occupancy target is a fraction
-	// of this capacity, so a smaller ring makes the target finer-grained.
+	// twin's deployment builder constructs (the experiment harness's
+	// runner, which the facade's Simulate* functions call through
+	// experiments.Deploy); zero keeps the nic default of 576 slots.
+	// core.New itself receives already-built queues and ignores it. The
+	// elastic occupancy target is a fraction of this capacity, so a
+	// smaller ring makes the target finer-grained.
 	RingCap int64
 	// Dephase enables turn-aware wake de-phasing in the shared-queue
 	// disciplines (see sched.Dephaser).
@@ -508,7 +508,7 @@ func (r *Runtime) armFirstWake(th *thread) {
 // ProvisionedThreadSeconds integrates the team size over virtual time up
 // to now: the cores a deployment had to reserve, whether or not they were
 // on-CPU — the provisioning cost the elastic control plane trades against
-// loss. Use ResetProvisioned to window-align it after warm-up.
+// loss. ResetWindow window-aligns it after warm-up.
 func (r *Runtime) ProvisionedThreadSeconds(now float64) float64 {
 	return r.provisioned + float64(r.active)*(now-r.provAt)
 }
@@ -533,14 +533,32 @@ func (r *Runtime) Placement() []int {
 	return append([]int(nil), r.placement...)
 }
 
-// ResetProvisioned restarts the provisioned-thread-seconds integrals at
-// now.
-func (r *Runtime) ResetProvisioned(now float64) {
-	r.provisioned = 0
+// ResetWindow restarts every windowed statistic the runtime owns at now —
+// the warm-up boundary: queue stats, the try and cycle counters (totals,
+// per-queue and per-thread), CPU accounting, the provisioning integrals
+// and the bus latency histograms. Snapshot(wall) then covers [now,
+// now+wall]. Policy state (rho estimates, timeouts) carries on.
+func (r *Runtime) ResetWindow(now float64) {
+	for _, q := range r.Queues {
+		q.Reset(now)
+	}
+	r.Tries, r.BusyTries, r.Cycles = 0, 0, 0
+	for q := range r.TriesQ {
+		r.TriesQ[q], r.BusyTriesQ[q], r.CyclesQ[q] = 0, 0, 0
+	}
+	for i := range r.CyclesByThread {
+		r.CyclesByThread[i] = 0
+	}
+	r.Acct = cpu.NewAccounting(r.ThreadCount())
+	r.provisioned, r.provAt = 0, now
 	for q := range r.provisionedQ {
 		r.provisionedQ[q] = 0
 	}
-	r.provAt = now
+	if r.bus != nil {
+		for q := range r.Queues {
+			r.bus.ResetLatency(q)
+		}
+	}
 }
 
 // Residency aggregates the team's sleep-state residency over the
@@ -818,8 +836,8 @@ type Metrics struct {
 	ThroughputPPS float64
 }
 
-// Snapshot computes run metrics over the window [0, wall] (callers reset
-// queue stats after warm-up to window-align them).
+// Snapshot computes run metrics over the window of length wall since the
+// run started or since the last ResetWindow (the warm-up boundary).
 //
 // The slices the returned Metrics carries (CyclesQ, RhoEst, TSNow) and its
 // latency summary are built in buffers the Runtime reuses across calls, so

@@ -99,7 +99,7 @@ func TestPerQueueProvisionedIntegral(t *testing.T) {
 	if full := r.ProvisionedThreadSeconds(0.05); math.Abs(total-full) > 1e-9 {
 		t.Fatalf("per-queue sum %v != total %v", total, full)
 	}
-	r.ResetProvisioned(0.05)
+	r.ResetWindow(0.05)
 	for q, v := range r.ProvisionedThreadSecondsQ(0.05) {
 		if v != 0 {
 			t.Fatalf("queue %d after reset: %v", q, v)

@@ -7,6 +7,7 @@ import (
 	"metronome/internal/nic"
 	"metronome/internal/sched"
 	"metronome/internal/sim"
+	"metronome/internal/stats"
 	"metronome/internal/telemetry"
 	"metronome/internal/traffic"
 	"metronome/internal/xrand"
@@ -139,7 +140,7 @@ func TestProvisionedThreadSecondsIntegral(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("provisioned thread-seconds = %v, want %v", got, want)
 	}
-	r.ResetProvisioned(0.05)
+	r.ResetWindow(0.05)
 	if got := r.ProvisionedThreadSeconds(0.05); got != 0 {
 		t.Fatalf("after reset: %v", got)
 	}
@@ -180,5 +181,55 @@ func TestBusPublishesDuringRun(t *testing.T) {
 	}
 	if busy <= 0 {
 		t.Error("no per-thread duty published")
+	}
+}
+
+// TestResetWindowZeroesEveryWindowedStat pins the warm-up reset: after a
+// multi-queue run with a bus and a mid-run grow, ResetWindow must leave
+// every windowed statistic core owns at zero — counters (total, per queue,
+// per thread), CPU, queue stats, the provisioning integrals and the bus
+// latency histograms. A windowed stat added without a reset fails here.
+func TestResetWindowZeroesEveryWindowedStat(t *testing.T) {
+	const now = 0.03
+	r, before := resizeRig(t, sched.NameRMetronome, map[float64]int{0.01: 6}, now, 7)
+	var h stats.LogHistogram
+	r.Cfg.Bus.SampleLatency(1, &h)
+	if before.Tries == 0 || before.Served == 0 || r.CyclesByThread[5] == 0 ||
+		r.Acct.TotalBusy() == 0 || r.ProvisionedThreadSeconds(now) == 0 || h.N() == 0 {
+		t.Fatalf("rig accumulated nothing to reset: %+v", before)
+	}
+	r.ResetWindow(now)
+	m := r.Snapshot(0)
+	if m.Tries != 0 || m.BusyTries != 0 || m.Cycles != 0 {
+		t.Errorf("counters survived: tries %d busy %d cycles %d", m.Tries, m.BusyTries, m.Cycles)
+	}
+	if m.RxPackets != 0 || m.Served != 0 || m.Drops != 0 || r.Acct.TotalBusy() != 0 {
+		t.Errorf("window stats survived: rx %d served %d drops %d cpu %vs",
+			m.RxPackets, m.Served, m.Drops, r.Acct.TotalBusy())
+	}
+	for q, c := range m.CyclesQ {
+		if c != 0 || r.TriesQ[q] != 0 || r.BusyTriesQ[q] != 0 {
+			t.Errorf("queue %d: cycles %d tries %d busy %d", q, c, r.TriesQ[q], r.BusyTriesQ[q])
+		}
+	}
+	for id, c := range r.CyclesByThread {
+		if c != 0 {
+			t.Errorf("thread %d: %d cycles", id, c)
+		}
+	}
+	if got := r.ProvisionedThreadSeconds(now); got != 0 {
+		t.Errorf("provisioned thread-seconds %v", got)
+	}
+	for q, v := range r.ProvisionedThreadSecondsQ(now) {
+		if v != 0 {
+			t.Errorf("queue %d provisioned %v", q, v)
+		}
+	}
+	for q := range r.Queues {
+		var h stats.LogHistogram
+		r.Cfg.Bus.SampleLatency(q, &h)
+		if h.N() != 0 {
+			t.Errorf("queue %d latency histogram holds %d samples", q, h.N())
+		}
 	}
 }

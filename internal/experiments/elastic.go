@@ -5,7 +5,6 @@ import (
 
 	"metronome/internal/core"
 	"metronome/internal/elastic"
-	"metronome/internal/nic"
 	"metronome/internal/sched"
 	"metronome/internal/traffic"
 )
@@ -53,10 +52,10 @@ func elasticSpec(policy string, m int, procs []traffic.Process, d, warmup float6
 	cfg.M = m
 	cfg.VBar = 15e-6
 	cfg.Policy = policy
+	cfg.RingCap = 4096
 	noisyHost(&cfg)
 	return runSpec{
 		cfg:     cfg,
-		optFn:   func(opt *nic.Options) { opt.Cap = 4096 },
 		procs:   procs,
 		dur:     d,
 		warmup:  warmup,

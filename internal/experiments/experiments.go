@@ -16,7 +16,6 @@ import (
 	"sync/atomic"
 
 	"metronome/internal/core"
-	"metronome/internal/cpu"
 	"metronome/internal/elastic"
 	"metronome/internal/faults"
 	"metronome/internal/nic"
@@ -206,10 +205,16 @@ as the whole reproduction with headline quantities as benchmark metrics.
 
 // --- shared runners --------------------------------------------------------
 
-// runSpec describes one simulated Metronome deployment.
+// runSpec describes one simulated Metronome deployment. The deployment
+// reads its ring capacity from cfg.RingCap (zero keeps the nic default)
+// and its flight recorder from cfg.Recorder: when set, the recorder rides
+// every control-plane source (substrate placements, elastic decisions,
+// fault flips) and resets at the warm-up boundary like every other
+// windowed stat, so decision-trace panels cover the measurement window
+// only.
 type runSpec struct {
 	cfg    core.Config
-	optFn  func(*nic.Options) // per-queue option tweaks (nil = defaults)
+	optFn  func(*nic.Options) // per-queue option tweaks after cfg.RingCap (nil = none)
 	procs  []traffic.Process  // one per queue
 	dur    float64
 	warmup float64
@@ -230,12 +235,17 @@ type runSpec struct {
 	// experiments register their recovery probes (engine tickers sampling
 	// ring state) through it.
 	hook func(eng *sim.Engine, r *core.Runtime, queues []*nic.Queue)
-	// recorder, when set, attaches the observability plane's flight
-	// recorder to every control-plane source in the deployment (substrate
-	// placements, elastic decisions, fault flips) and resets it at the
-	// warm-up boundary like every other windowed stat, so decision-trace
-	// panels cover the measurement window only.
-	recorder *obsv.Recorder
+}
+
+// Deploy is the harness's deployment builder exported for the public
+// facade: its Simulate* functions run through here, so a facade run is the
+// experiments' run without warm-up. It runs cfg, seeded by cfg.Seed, over
+// one arrival process per queue for dur virtual seconds; a non-nil ec
+// attaches the elastic control plane (ec.Recorder defaults to
+// cfg.Recorder) and non-empty evs the fault plane (fault flips land on
+// cfg.Recorder).
+func Deploy(cfg core.Config, procs []traffic.Process, dur float64, ec *elastic.Config, evs []faults.Event) (*core.Runtime, core.Metrics, elastic.Report) {
+	return runMetronomeElastic(runSpec{cfg: cfg, procs: procs, dur: dur, seed: cfg.Seed, elastic: ec, faults: evs})
 }
 
 // runMetronome executes the spec and snapshots metrics over the
@@ -253,23 +263,16 @@ func runMetronome(s runSpec) (*core.Runtime, core.Metrics) {
 // a synthesized report (M threads for the whole window) so elastic and
 // static rows are comparable in one table.
 func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report) {
-	if s.recorder != nil {
-		s.cfg.Recorder = s.recorder
+	budget := s.cfg.M
+	if s.elastic != nil && s.elastic.Budget > budget {
+		budget = s.elastic.Budget
 	}
 	if s.elastic != nil || s.telemetry {
-		budget := s.cfg.M
-		if s.elastic != nil && s.elastic.Budget > budget {
-			budget = s.elastic.Budget
-		}
 		s.cfg.Bus = telemetry.NewBus(len(s.procs), budget)
 	}
 	var inj *faults.Injector
 	if len(s.faults) > 0 {
-		slots := s.cfg.M
-		if s.elastic != nil && s.elastic.Budget > slots {
-			slots = s.elastic.Budget
-		}
-		inj = faults.New(slots, len(s.procs))
+		inj = faults.New(budget, len(s.procs))
 		s.cfg.Faults = inj
 	}
 	eng := sim.New()
@@ -277,6 +280,9 @@ func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report
 	queues := make([]*nic.Queue, len(s.procs))
 	for i, p := range s.procs {
 		opt := nic.DefaultOptions()
+		if s.cfg.RingCap > 0 {
+			opt.Cap = s.cfg.RingCap
+		}
 		if s.optFn != nil {
 			s.optFn(&opt)
 		}
@@ -291,8 +297,8 @@ func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report
 		if ec.MinThreads == 0 {
 			ec.MinThreads = len(s.procs)
 		}
-		if s.recorder != nil {
-			ec.Recorder = s.recorder
+		if ec.Recorder == nil {
+			ec.Recorder = s.cfg.Recorder
 		}
 		// Construct after Start: the controller's initial clamp resizes
 		// through the live resize path, never double-arming first wakes.
@@ -305,7 +311,7 @@ func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report
 		})
 	}
 	if inj != nil {
-		obsv.AttachFaults(inj, s.recorder) // no-op when no recorder is wired
+		obsv.AttachFaults(inj, s.cfg.Recorder) // no-op when no recorder is wired
 		faults.Schedule(eng, inj, s.faults)
 	}
 	if s.hook != nil {
@@ -313,37 +319,17 @@ func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report
 	}
 	if s.warmup > 0 {
 		eng.RunUntil(s.warmup)
-		for _, q := range queues {
-			q.Reset(eng.Now())
-		}
-		r.Tries, r.BusyTries, r.Cycles = 0, 0, 0
-		for i := range r.TriesQ {
-			r.TriesQ[i], r.BusyTriesQ[i], r.CyclesQ[i] = 0, 0, 0
-		}
-		for i := range r.CyclesByThread {
-			r.CyclesByThread[i] = 0
-		}
-		// CPU accounting restarts too: replace through a fresh window.
-		r.Acct = cpu.NewAccounting(r.ThreadCount())
-		r.ResetProvisioned(eng.Now())
-		if s.cfg.Bus != nil {
-			// Latency histograms window like every other warm-up-reset
-			// gauge: tails rendered from the bus cover measurement only.
-			for q := range s.procs {
-				s.cfg.Bus.ResetLatency(q)
-			}
-		}
+		r.ResetWindow(eng.Now())
 		if ctrl != nil {
 			ctrl.ResetStats(eng.Now())
 		}
-		// The flight recorder windows with the other stats: the engine is
-		// parked at the warm-up boundary, so the reset cannot race writers.
-		s.recorder.Reset()
+		// The engine is parked at the warm-up boundary, so the recorder
+		// reset cannot race writers.
+		s.cfg.Recorder.Reset()
 	}
-	eng.RunUntil(s.warmup + s.dur)
 	end := s.warmup + s.dur
+	eng.RunUntil(end)
 	rep := elastic.Report{
-		Resizes:    0,
 		MinThreads: r.TeamSize(), MaxThreads: r.TeamSize(), Final: r.TeamSize(),
 	}
 	if ctrl != nil {

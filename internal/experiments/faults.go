@@ -83,7 +83,7 @@ func faultRow(mode faultMode, procs []traffic.Process, evs []faults.Event,
 	d, warmup, faultEnd float64, probeQ int, clean bool, seed uint64) faultResult {
 	spec := elasticSpec(sched.NameRMetronome, mode.m, procs, d, warmup, seed, mode.ecfg)
 	spec.faults = evs
-	spec.recorder = mode.rec
+	spec.cfg.Recorder = mode.rec
 	if clean {
 		// Straggler and blackout panels run on a clean host: the injected
 		// fault is the only outage source, so the arms differ by their

@@ -104,7 +104,7 @@ func powerRow(mode powerMode, procs []traffic.Process, evs []faults.Event, d, wa
 	// controller's crowd signal.
 	spec.cfg.VBar = 60e-6
 	spec.faults = evs
-	spec.recorder = mode.rec
+	spec.cfg.Recorder = mode.rec
 	rt, met, rep := runMetronomeElastic(spec)
 	pc := power.DefaultConfig()
 	res := rt.Residency(warmup+d, d, powerBudget)

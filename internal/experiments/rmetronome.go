@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"metronome/internal/core"
-	"metronome/internal/nic"
 	"metronome/internal/sched"
 	"metronome/internal/traffic"
 )
@@ -33,13 +32,13 @@ func rmetronomeSpec(o Options, policy string, shares []float64, totalPPS, d floa
 	cfg.M = 2 * len(shares)
 	cfg.VBar = 15e-6
 	cfg.Policy = policy
+	cfg.RingCap = 4096
 	procs := make([]traffic.Process, len(shares))
 	for i, s := range shares {
 		procs[i] = traffic.CBR{PPS: totalPPS * s}
 	}
 	return runSpec{
 		cfg:    cfg,
-		optFn:  func(opt *nic.Options) { opt.Cap = 4096 },
 		procs:  procs,
 		dur:    d,
 		warmup: d * 0.2,

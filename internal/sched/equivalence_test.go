@@ -412,3 +412,27 @@ func TestSimLiveResizeEquivalence(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroVBarSpins pins the V̄ = 0, TL = 0 corner (metrosim -vbar 0 -tl
+// 0): every discipline must publish a finite zero timeout — spin — and a
+// short twin run over it must complete. uniformvac once derived its
+// timeout as k·0/0 there and scheduled its first wake at NaN.
+func TestZeroVBarSpins(t *testing.T) {
+	for _, name := range []string{sched.NameAdaptive, sched.NameFixed, sched.NameUniformVac} {
+		p := sched.MustNew(name, sched.Config{M: 3, N: 1})
+		if ts := p.TS(0); ts != 0 { // NaN fails too
+			t.Errorf("%s: TS = %v at V̄ = TL = 0, want 0", name, ts)
+			continue
+		}
+		eng := sim.New()
+		q := nic.NewQueue(0, traffic.CBR{PPS: 1e6}, xrand.New(1).Split(), nic.DefaultOptions())
+		cfg := core.DefaultConfig()
+		cfg.VBar, cfg.TL, cfg.Policy = 0, 0, name
+		rt := core.New(eng, []*nic.Queue{q}, cfg)
+		rt.Start()
+		eng.RunUntil(1e-3)
+		if m := rt.Snapshot(1e-3); m.Served == 0 || m.LossRate != 0 {
+			t.Errorf("%s: spinning run served %d, loss %v", name, m.Served, m.LossRate)
+		}
+	}
+}

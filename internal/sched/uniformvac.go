@@ -57,6 +57,11 @@ func (p *UniformVac) evaluate() float64 {
 	if tl <= 0 {
 		tl = 50 * p.cfg.VBar
 	}
+	if tl <= 0 {
+		// V̄ = 0 without a TL: spin, as fixed does at V̄ = 0 (the
+		// inversion below would be k·0/0).
+		return 0
+	}
 	x := 1 - k*p.cfg.VBar/tl
 	if x <= 0 {
 		// Even TS = TL cannot hold a vacation this long at high load.

@@ -33,18 +33,15 @@ import (
 	"metronome/internal/hrtimer"
 	"metronome/internal/mbuf"
 	"metronome/internal/model"
-	"metronome/internal/nic"
 	"metronome/internal/obsv"
 	"metronome/internal/packet"
 	"metronome/internal/power"
 	"metronome/internal/ring"
 	"metronome/internal/runtime"
 	"metronome/internal/sched"
-	"metronome/internal/sim"
 	"metronome/internal/stats"
 	"metronome/internal/telemetry"
 	"metronome/internal/traffic"
-	"metronome/internal/xrand"
 )
 
 // --- real-time runtime -------------------------------------------------------
@@ -338,10 +335,10 @@ func NewElasticController(bus *TelemetryBus, team ElasticTeam, cfg ElasticConfig
 
 // The fault plane injects deterministic failures underneath either
 // substrate: wire an injector into RunnerConfig.Faults (or SimConfig.Faults)
-// and flip its flags from tests, chaos schedules, or SimulateFaults. The
-// elastic controller's health layer (ElasticConfig.Health) is the matching
-// defence: heartbeat liveness, stale-gauge rejection, straggler exile and a
-// safe-team fallback.
+// and flip its flags from tests, chaos schedules, or SimulateElastic's
+// events. The elastic controller's health layer (ElasticConfig.Health) is
+// the matching defence: heartbeat liveness, stale-gauge rejection,
+// straggler exile and a safe-team fallback.
 type (
 	// FaultInjector is the shared set of atomic fault flags both substrates
 	// consult on their cycle paths. A nil injector costs one branch.
@@ -537,104 +534,34 @@ type (
 func LineRate64B(gbps float64) float64 { return traffic.Rate64B(gbps) }
 
 // Simulate runs the discrete-event Metronome over one arrival process per
-// queue for the given virtual duration and returns its metrics.
+// queue for the given virtual duration and returns its metrics. A positive
+// cfg.RingCap overrides the default 576-slot Rx ring. The Simulate*
+// functions and the experiment harness assemble the deployment with one
+// builder (experiments.Deploy), so a facade run is a harness run without
+// warm-up.
 func Simulate(cfg SimConfig, arrivals []Traffic, duration time.Duration) SimMetrics {
-	eng := sim.New()
-	root := xrand.New(cfg.Seed)
-	queues := make([]*nic.Queue, len(arrivals))
-	for i, p := range arrivals {
-		queues[i] = nic.NewQueue(i, p, root.Split(), ringOptions(cfg))
-	}
-	rt := core.New(eng, queues, cfg)
-	rt.Start()
-	d := duration.Seconds()
-	eng.RunUntil(d)
-	return rt.Snapshot(d)
+	_, m, _ := experiments.Deploy(cfg, arrivals, duration.Seconds(), nil, nil)
+	return m
 }
 
 // SimulateElastic is Simulate with the elastic control plane attached: a
 // telemetry bus wired into the deployment, a controller resizing the
 // thread team every control period (driven by engine events, so runs stay
 // deterministic per seed), and the controller's provisioning report
-// alongside the metrics. cfg.M is the starting team; ecfg bounds it.
-func SimulateElastic(cfg SimConfig, ecfg ElasticConfig, arrivals []Traffic, duration time.Duration) (SimMetrics, ElasticReport) {
-	eng := sim.New()
-	root := xrand.New(cfg.Seed)
-	queues := make([]*nic.Queue, len(arrivals))
-	for i, p := range arrivals {
-		queues[i] = nic.NewQueue(i, p, root.Split(), ringOptions(cfg))
-	}
-	budget := cfg.M
-	if ecfg.Budget > budget {
-		budget = ecfg.Budget
-	}
-	cfg.Bus = telemetry.NewBus(len(arrivals), budget)
-	rt := core.New(eng, queues, cfg)
-	rt.Start()
-	if ecfg.MinThreads == 0 {
-		ecfg.MinThreads = len(arrivals)
-	}
-	if ecfg.Recorder == nil {
-		ecfg.Recorder = cfg.Recorder
-	}
-	ctrl := elastic.New(cfg.Bus, rt, ecfg)
-	eng.Ticker(ctrl.Config().Period, "elastic-tick", func() { ctrl.Tick(eng.Now()) })
-	d := duration.Seconds()
-	eng.RunUntil(d)
-	rep := ctrl.Report(d)
-	rep.ThreadSeconds = rt.ProvisionedThreadSeconds(d)
-	if d > 0 {
-		rep.MeanThreads = rep.ThreadSeconds / d
-	}
-	return rt.Snapshot(d), rep
-}
-
-// SimulateFaults is SimulateElastic under a deterministic fault schedule:
-// events fire as engine events against an injector wired into the
+// alongside the metrics. cfg.M is the starting team; ecfg bounds it, and
+// its Recorder defaults to cfg.Recorder.
+//
+// Events, when given, run the deployment under a deterministic fault
+// schedule: they fire as engine events against an injector wired into the
 // deployment (cfg.Faults is overwritten), and ControllerDown windows
 // suppress the controller's tick source. With ecfg.Health set, this is the
-// self-healing loop of the fig-faults experiment; without it, the oblivious
-// baseline. With cfg.Recorder set, injected fault flips and the control
-// loop's reactions land on one flight-recorder timeline. Runs are
+// self-healing loop of the fig-faults experiment; without it, the
+// oblivious baseline. With cfg.Recorder set, injected fault flips and the
+// control loop's reactions land on one flight-recorder timeline. Runs are
 // byte-identical per seed at any parallelism.
-func SimulateFaults(cfg SimConfig, ecfg ElasticConfig, arrivals []Traffic, duration time.Duration, events []FaultEvent) (SimMetrics, ElasticReport) {
-	eng := sim.New()
-	root := xrand.New(cfg.Seed)
-	queues := make([]*nic.Queue, len(arrivals))
-	for i, p := range arrivals {
-		queues[i] = nic.NewQueue(i, p, root.Split(), ringOptions(cfg))
-	}
-	budget := cfg.M
-	if ecfg.Budget > budget {
-		budget = ecfg.Budget
-	}
-	cfg.Bus = telemetry.NewBus(len(arrivals), budget)
-	inj := faults.New(budget, len(arrivals))
-	cfg.Faults = inj
-	obsv.AttachFaults(inj, cfg.Recorder)
-	rt := core.New(eng, queues, cfg)
-	rt.Start()
-	if ecfg.MinThreads == 0 {
-		ecfg.MinThreads = len(arrivals)
-	}
-	if ecfg.Recorder == nil {
-		ecfg.Recorder = cfg.Recorder
-	}
-	ctrl := elastic.New(cfg.Bus, rt, ecfg)
-	eng.Ticker(ctrl.Config().Period, "elastic-tick", func() {
-		if !inj.ControllerSuppressed() {
-			ctrl.Tick(eng.Now())
-		}
-	})
-	faults.Schedule(eng, inj, events)
-	d := duration.Seconds()
-	eng.RunUntil(d)
-	rep := ctrl.Report(d)
-	rep.ThreadSeconds = rt.ProvisionedThreadSeconds(d)
-	if d > 0 {
-		rep.MeanThreads = rep.ThreadSeconds / d
-	}
-	return rt.Snapshot(d), rep
+func SimulateElastic(cfg SimConfig, ecfg ElasticConfig, arrivals []Traffic, duration time.Duration, events ...FaultEvent) (SimMetrics, ElasticReport) {
+	_, m, rep := experiments.Deploy(cfg, arrivals, duration.Seconds(), &ecfg, events)
+	return m, rep
 }
 
 // SimulatePower is SimulateElastic priced by the power plane: the run's
@@ -652,49 +579,11 @@ func SimulatePower(cfg SimConfig, ecfg ElasticConfig, pc PowerConfig, arrivals [
 	if ecfg.Power == (PowerConfig{}) {
 		ecfg.Power = pc
 	}
-	eng := sim.New()
-	root := xrand.New(cfg.Seed)
-	queues := make([]*nic.Queue, len(arrivals))
-	for i, p := range arrivals {
-		queues[i] = nic.NewQueue(i, p, root.Split(), ringOptions(cfg))
-	}
-	budget := cfg.M
-	if ecfg.Budget > budget {
-		budget = ecfg.Budget
-	}
-	cfg.Bus = telemetry.NewBus(len(arrivals), budget)
-	rt := core.New(eng, queues, cfg)
-	rt.Start()
-	if ecfg.MinThreads == 0 {
-		ecfg.MinThreads = len(arrivals)
-	}
-	if ecfg.Recorder == nil {
-		ecfg.Recorder = cfg.Recorder
-	}
-	ctrl := elastic.New(cfg.Bus, rt, ecfg)
-	eng.Ticker(ctrl.Config().Period, "elastic-tick", func() { ctrl.Tick(eng.Now()) })
 	d := duration.Seconds()
-	eng.RunUntil(d)
-	rep := ctrl.Report(d)
-	rep.ThreadSeconds = rt.ProvisionedThreadSeconds(d)
-	if d > 0 {
-		rep.MeanThreads = rep.ThreadSeconds / d
-	}
-	res := rt.Residency(d, d, budget)
+	rt, m, rep := experiments.Deploy(cfg, arrivals, d, &ecfg, nil)
+	res := rt.Residency(d, d, max(cfg.M, ecfg.Budget))
 	res.Freq = pc.FMax
-	return rt.Snapshot(d), rep, pc.TeamEnergy(res)
-}
-
-// ringOptions resolves the per-queue descriptor-ring options a SimConfig
-// asks for (RingCap > 0 overrides the default 576-slot ring — the elastic
-// occupancy target is a fraction of this capacity, so metrosim's -cap flag
-// makes the target finer- or coarser-grained).
-func ringOptions(cfg SimConfig) nic.Options {
-	opt := nic.DefaultOptions()
-	if cfg.RingCap > 0 {
-		opt.Cap = cfg.RingCap
-	}
-	return opt
+	return m, rep, pc.TeamEnergy(res)
 }
 
 // --- experiments ---------------------------------------------------------------

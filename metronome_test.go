@@ -249,7 +249,7 @@ func TestPublicFaultAPI(t *testing.T) {
 		ecfg.TargetOccupancy = 0.05
 		ecfg.Placement = true
 		ecfg.Health = health
-		return metronome.SimulateFaults(cfg, ecfg, arrivals, 300*time.Millisecond, evs)
+		return metronome.SimulateElastic(cfg, ecfg, arrivals, 300*time.Millisecond, evs...)
 	}
 	mHeal, rHeal := run(true)
 	mObli, _ := run(false)
@@ -291,7 +291,7 @@ func TestPublicObservabilityAPI(t *testing.T) {
 		ecfg.TargetOccupancy = 0.05
 		ecfg.Placement = true
 		ecfg.Health = true
-		_, rep := metronome.SimulateFaults(c, ecfg, arrivals, 300*time.Millisecond, evs)
+		_, rep := metronome.SimulateElastic(c, ecfg, arrivals, 300*time.Millisecond, evs...)
 		return rec, rep
 	}
 	rec, rep := run()
