@@ -88,7 +88,7 @@ func main() {
 		// groups; against a roaming policy the controller would silently
 		// run the scalar law, so reject the combination outright.
 		probe := sched.MustNew(cfg.Policy, sched.Config{M: *m, N: *queues})
-		if _, ok := probe.(sched.Rebalancer); !ok {
+		if _, ok := probe.(sched.GroupPolicy); !ok {
 			fail("-placement needs a placement-capable policy (rmetronome|worksteal), not %q", cfg.Policy)
 		}
 	}

@@ -96,7 +96,7 @@ type Config struct {
 	// smaller ring makes the target finer-grained.
 	RingCap int64
 	// Dephase enables turn-aware wake de-phasing in the shared-queue
-	// disciplines (see sched.Dephaser).
+	// disciplines (see sched.GroupPolicy's Dephase).
 	Dephase bool
 	// Seed drives all randomness in the run.
 	Seed uint64
@@ -418,15 +418,11 @@ func (r *Runtime) SetTeamSize(m int) int {
 	if m < len(r.Queues) {
 		m = len(r.Queues)
 	}
-	balanced := sched.BalancedPlacement(m, len(r.Queues))
-	if m == r.active && sched.PlacementEqual(r.placement, balanced) {
-		return r.active
-	}
-	return r.ApplyPlacement(balanced)
+	return r.ApplyPlacement(sched.BalancedPlacement(m, len(r.Queues)))
 }
 
 // CanPlace reports whether ApplyPlacement plans actually land per queue:
-// true only when the discipline binds placeable groups (sched.Rebalancer).
+// true only when the discipline binds service groups (sched.GroupPolicy).
 // Roaming disciplines accept plans but degrade them to the total.
 func (r *Runtime) CanPlace() bool { return r.cyc.CanPlace() }
 

@@ -65,13 +65,9 @@ func TestSetTeamSizeGrowAndShrink(t *testing.T) {
 		if m.Cycles == 0 || m.LossRate > 0.01 {
 			t.Fatalf("%s: degenerate run: %+v", policy, m)
 		}
-		// Resizable policies adopted the final size.
-		if rz, ok := r.Policy().(sched.Resizable); ok {
-			if rz.TeamSize() != 2 {
-				t.Fatalf("%s: policy team size %d, want 2", policy, rz.TeamSize())
-			}
-		} else {
-			t.Fatalf("%s: policy is not Resizable", policy)
+		// The policy adopted the final size.
+		if got := r.Policy().TeamSize(); got != 2 {
+			t.Fatalf("%s: policy team size %d, want 2", policy, got)
 		}
 	}
 }

@@ -60,16 +60,28 @@ func (o Objective) String() string {
 	return "thread-seconds"
 }
 
-// Team is a resizable retrieval-thread team; core.Runtime and
+// Team is a resizable, placeable retrieval-thread team; core.Runtime and
 // runtime.Runner both implement it.
 type Team interface {
 	// TeamSize returns the current team size.
 	TeamSize() int
 	// SetTeamSize requests a new team size and returns the applied one
 	// (substrates clamp to at least one thread per queue). It is the
-	// degenerate balanced plan: SetTeamSize(m) places m/N members on every
-	// queue via ApplyPlacement on substrates that support placement.
+	// degenerate balanced plan: ApplyPlacement(BalancedPlacement(m, N)).
 	SetTeamSize(m int) int
+	// ApplyPlacement adopts perQueue[q] members homed on queue q (entries
+	// clamped to >= 1) and returns the applied team total.
+	ApplyPlacement(perQueue []int) int
+	// CanPlace reports whether plans actually land per queue: true only
+	// when the discipline is a sched.GroupPolicy. Otherwise ApplyPlacement
+	// degrades to the total, and the controller runs its scalar law.
+	CanPlace() bool
+	// Placement returns the per-queue member counts in effect (a copy);
+	// the controller seeds its rebalance baseline from it.
+	Placement() []int
+	// ThreadHome returns the queue thread id is homed on; the health layer
+	// aims corrective plans at an unhealthy member's home through it.
+	ThreadHome(id int) int
 }
 
 // Plan is the controller's actuation output: a total team size and its
@@ -81,31 +93,6 @@ type Plan struct {
 	// PerQueue holds the members homed on each queue; entries sum to
 	// Total. Nil means the balanced plan.
 	PerQueue []int
-}
-
-// Actuator is a Team that can adopt a full placement plan — per-queue
-// member counts instead of a bare integer. Both execution substrates
-// implement it (core.Runtime re-homes simulated threads through ordinary
-// engine events; runtime.Runner re-homes live members through the group
-// machinery without dropping claimed turns). The controller's placement
-// law emits Plans through this interface when Config.Placement is set and
-// falls back to the scalar SetTeamSize otherwise.
-type Actuator interface {
-	Team
-	// ApplyPlacement adopts perQueue[q] members homed on queue q (entries
-	// clamped to >= 1) and returns the applied team total.
-	ApplyPlacement(perQueue []int) int
-	// CanPlace reports whether plans actually land per queue: substrates
-	// return true only when the scheduling discipline binds placeable
-	// groups (sched.Rebalancer). A substrate whose policy lets threads
-	// roam accepts ApplyPlacement but degrades it to the total, and the
-	// controller must not report phantom migrations against it.
-	CanPlace() bool
-	// Placement returns the per-queue member counts currently in effect
-	// (a copy). The controller seeds its rebalance baseline from it, so a
-	// team that was hand-placed before the controller attached is
-	// corrected rather than assumed balanced.
-	Placement() []int
 }
 
 // Config tunes the control plane. The zero value is unusable; start from
@@ -130,8 +117,8 @@ type Config struct {
 	Cooldown float64
 	// Placement enables the per-queue placement law: besides moving the
 	// scalar team size, the controller apportions members across queues by
-	// wake-occupancy share and actuates full plans through Actuator (when
-	// the team implements it — otherwise it degrades to SetTeamSize). A
+	// wake-occupancy share and actuates full plans through ApplyPlacement
+	// (when the team CanPlace — otherwise it degrades to SetTeamSize). A
 	// placement-only move (total unchanged, members migrating between
 	// groups) is rate-limited by Cooldown like a shrink: it costs no
 	// budget, but flapping members between groups costs re-homing churn.
@@ -185,13 +172,6 @@ type Config struct {
 	// stamped with the tick's own substrate timestamp (the controller is
 	// clockless and stays so). Nil records nothing and costs one branch.
 	Recorder *obsv.Recorder
-}
-
-// Homer exposes a substrate's thread-to-home-queue mapping; core.Runtime and
-// runtime.Runner both implement it. The health layer aims corrective plans
-// at an unhealthy member's home queue through it.
-type Homer interface {
-	ThreadHome(id int) int
 }
 
 // The control laws' tuning, calibrated by the fig-elastic experiment.
@@ -321,10 +301,10 @@ type Decision struct {
 
 // Controller drives one Team from one Bus.
 type Controller struct {
-	cfg  Config
-	bus  *telemetry.Bus
-	team Team
-	act  Actuator // non-nil when Placement is on and team supports plans
+	cfg     Config
+	bus     *telemetry.Bus
+	team    Team
+	placing bool // Placement is on and the team CanPlace
 
 	integ         float64 // integral state, in threads above MinThreads
 	lastTick      float64
@@ -380,23 +360,17 @@ func New(bus *telemetry.Bus, team Team, cfg Config) *Controller {
 	c.prevOccF = make([]float64, bus.Queues())
 	c.occEW = make([]float64, bus.Queues())
 	c.slopes = make([]float64, bus.Queues())
-	if c.cfg.Placement {
-		// The placement law engages only when plans actually land per
-		// queue: a substrate whose policy cannot place (no
-		// sched.Rebalancer) degrades ApplyPlacement to the total, and
-		// reporting plans/rebalances against it would be fiction.
-		if act, ok := team.(Actuator); ok && act.CanPlace() {
-			c.act = act
-			// Baseline from the placement actually in effect — a team
-			// that was hand-placed before the controller attached must
-			// be rebalanced away from, not assumed balanced.
-			c.lastPlan = append([]int(nil), act.Placement()...)
-			c.planBuf = make([]int, bus.Queues())
-		}
+	// The placement law engages only when plans land per queue; reporting
+	// plans/rebalances against a team that degrades them would be fiction.
+	if c.placing = c.cfg.Placement && team.CanPlace(); c.placing {
+		// Baseline from the placement actually in effect — a team that was
+		// hand-placed before the controller attached must be rebalanced
+		// away from, not assumed balanced.
+		c.lastPlan = append([]int(nil), team.Placement()...)
+		c.planBuf = make([]int, bus.Queues())
 	}
 	if c.cfg.Health {
 		c.health = newHealthState(bus)
-		c.health.homer, _ = team.(Homer)
 	}
 	return c
 }
@@ -624,7 +598,7 @@ func (c *Controller) tick(now float64) Decision {
 		// No size move. The placement law may still migrate members to
 		// chase a demand shift — a hot flow moving queues changes where
 		// threads should sit without changing how many are needed.
-		if c.act != nil && now-c.lastRebalance >= c.cfg.Cooldown &&
+		if c.placing && now-c.lastRebalance >= c.cfg.Cooldown &&
 			(c.health == nil || !c.health.anyExiled()) {
 			plan := c.apportion(cur)
 			if !sched.PlacementEqual(plan, c.lastPlan) && c.takeToken(now) {
@@ -705,7 +679,7 @@ func (c *Controller) occFraction(q int) float64 {
 // actuate applies a new team total through the placement plane when the
 // placement law is on, or the scalar Team path otherwise.
 func (c *Controller) actuate(m int, d *Decision) int {
-	if c.act == nil {
+	if !c.placing {
 		return c.team.SetTeamSize(m)
 	}
 	applied := c.applyPlan(c.apportion(m), d)
@@ -713,9 +687,9 @@ func (c *Controller) actuate(m int, d *Decision) int {
 	return applied
 }
 
-// applyPlan pushes one per-queue plan through the Actuator and records it.
+// applyPlan pushes one per-queue plan through the team and records it.
 func (c *Controller) applyPlan(plan []int, d *Decision) int {
-	applied := c.act.ApplyPlacement(plan)
+	applied := c.team.ApplyPlacement(plan)
 	c.lastPlan = append(c.lastPlan[:0], plan...)
 	d.Plan = append([]int(nil), plan...)
 	return applied
@@ -877,7 +851,7 @@ func (c *Controller) Report(now float64) Report {
 		MaxThreads:    c.maxSeen,
 		Final:         cur,
 	}
-	if c.act != nil {
+	if c.placing {
 		rep.FinalPlan = append([]int(nil), c.lastPlan...)
 	}
 	if h := c.health; h != nil {

@@ -6,11 +6,16 @@ import (
 	"metronome/internal/telemetry"
 )
 
-// fakeTeam records resizes and clamps to a queue floor like the substrates.
+// fakeTeam stands in for a substrate: it records resizes and placements,
+// clamps like the substrates (a queue floor on the size, >= 1 per plan
+// entry) and homes thread id on id modulo the two bus queues the rigs use.
+// roams models a discipline without service groups, which cannot place.
 type fakeTeam struct {
-	size    int
-	floor   int
-	resizes []int
+	size, floor int
+	resizes     []int
+	plan        []int
+	placements  int
+	roams       bool
 }
 
 func (f *fakeTeam) TeamSize() int { return f.size }
@@ -22,6 +27,32 @@ func (f *fakeTeam) SetTeamSize(m int) int {
 	f.resizes = append(f.resizes, m)
 	return m
 }
+
+func (f *fakeTeam) CanPlace() bool { return !f.roams }
+
+func (f *fakeTeam) Placement() []int {
+	if f.plan != nil {
+		return append([]int(nil), f.plan...)
+	}
+	return []int{(f.size + 1) / 2, f.size / 2}
+}
+
+func (f *fakeTeam) ApplyPlacement(perQueue []int) int {
+	total := 0
+	f.plan = make([]int, len(perQueue))
+	for q, s := range perQueue {
+		if s < 1 {
+			s = 1
+		}
+		f.plan[q] = s
+		total += s
+	}
+	f.size = total
+	f.placements++
+	return total
+}
+
+func (f *fakeTeam) ThreadHome(id int) int { return id % 2 }
 
 func newRig(minThreads, budget int) (*telemetry.Bus, *fakeTeam, *Controller) {
 	bus := telemetry.NewBus(2, budget)
@@ -146,51 +177,18 @@ func TestCounterResetResyncsSilently(t *testing.T) {
 	}
 }
 
-// fakeActuator is a fakeTeam that also accepts placement plans, clamping
-// entries >= 1 like the substrates.
-type fakeActuator struct {
-	fakeTeam
-	plan       []int
-	placements int
-}
-
-func (f *fakeActuator) CanPlace() bool { return true }
-
-func (f *fakeActuator) Placement() []int {
-	if f.plan != nil {
-		return append([]int(nil), f.plan...)
-	}
-	// Balanced split over the two bus queues the rigs use.
-	return []int{(f.size + 1) / 2, f.size / 2}
-}
-
-func (f *fakeActuator) ApplyPlacement(perQueue []int) int {
-	total := 0
-	f.plan = make([]int, len(perQueue))
-	for q, s := range perQueue {
-		if s < 1 {
-			s = 1
-		}
-		f.plan[q] = s
-		total += s
-	}
-	f.size = total
-	f.placements++
-	return total
-}
-
-func newPlacementRig(minThreads, budget int) (*telemetry.Bus, *fakeActuator, *Controller) {
+func newPlacementRig(minThreads, budget int) (*telemetry.Bus, *fakeTeam, *Controller) {
 	bus := telemetry.NewBus(2, budget)
 	bus.Set(telemetry.Capacity, 0, 4096)
 	bus.Set(telemetry.Capacity, 1, 4096)
-	team := &fakeActuator{fakeTeam: fakeTeam{size: minThreads, floor: 2}}
+	team := &fakeTeam{size: minThreads, floor: 2}
 	cfg := DefaultConfig(minThreads, budget)
 	cfg.Placement = true
 	return bus, team, New(bus, team, cfg)
 }
 
 // The placement law must apportion members toward the queue whose EWMA
-// wake occupancy carries the demand, through the Actuator.
+// wake occupancy carries the demand, through ApplyPlacement.
 func TestPlacementApportionsByOccupancyShare(t *testing.T) {
 	bus, team, c := newPlacementRig(2, 8)
 	c.Tick(0)
@@ -266,7 +264,7 @@ func TestControllerCorrectsPreexistingPlacement(t *testing.T) {
 	bus := telemetry.NewBus(2, 8)
 	bus.Set(telemetry.Capacity, 0, 4096)
 	bus.Set(telemetry.Capacity, 1, 4096)
-	team := &fakeActuator{fakeTeam: fakeTeam{size: 6, floor: 2}}
+	team := &fakeTeam{size: 6, floor: 2}
 	team.ApplyPlacement([]int{5, 1}) // hand-placed skew
 	before := team.placements
 	cfg := DefaultConfig(6, 6)
@@ -379,18 +377,39 @@ func TestSlopeGaugesPublished(t *testing.T) {
 	}
 }
 
-// Without Placement (or without an Actuator team), the controller keeps
-// the scalar SetTeamSize path and Decisions carry no plan.
+// Without Placement, or with Placement over a team that cannot place, the
+// controller keeps the scalar SetTeamSize path: Decisions carry no plan,
+// skewed demand never rebalances and the report has no final plan.
 func TestScalarPathWithoutPlacement(t *testing.T) {
-	bus, team, c := newRig(2, 8)
-	c.Tick(0)
-	bus.Set(telemetry.Occupancy, 0, 0.5*4096)
-	d := c.Tick(0.001)
-	if !d.Resized || d.Plan != nil || d.Rebalanced {
-		t.Fatalf("scalar path decision carries placement state: %+v", d)
-	}
-	if len(team.resizes) == 0 {
-		t.Fatal("scalar resize not applied")
+	for _, placement := range []bool{false, true} {
+		bus := telemetry.NewBus(2, 8)
+		bus.Set(telemetry.Capacity, 0, 4096)
+		bus.Set(telemetry.Capacity, 1, 4096)
+		team := &fakeTeam{size: 2, floor: 2, roams: true}
+		cfg := DefaultConfig(2, 8)
+		cfg.Placement = placement
+		c := New(bus, team, cfg)
+		c.Tick(0)
+		bus.Set(telemetry.Occupancy, 0, 0.5*4096)
+		d := c.Tick(0.001)
+		if !d.Resized || d.Plan != nil || len(team.resizes) == 0 {
+			t.Fatalf("placement %v: scalar resize not applied: %+v", placement, d)
+		}
+		// Queue 0 keeps all the demand at a held size: a placing controller
+		// would migrate members toward it once the cooldown passed.
+		now := 0.001
+		for i := 0; i < 40; i++ {
+			now += 0.001
+			if d = c.Tick(now); d.Plan != nil || d.Rebalanced {
+				t.Fatalf("placement %v: scalar path decision carries placement state: %+v", placement, d)
+			}
+		}
+		if team.placements != 0 {
+			t.Fatalf("placement %v: %d plans reached a team that cannot place", placement, team.placements)
+		}
+		if rep := c.Report(now); rep.FinalPlan != nil || rep.Rebalances != 0 {
+			t.Fatalf("placement %v: report carries placement state: %+v", placement, rep)
+		}
 	}
 }
 

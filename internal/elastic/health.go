@@ -13,8 +13,6 @@ import "metronome/internal/telemetry"
 
 // healthState carries the detectors' memory between ticks.
 type healthState struct {
-	homer Homer // nil when the substrate cannot map threads to homes
-
 	prevPub  []uint64 // last-seen publish sequence per queue
 	staleFor []int    // consecutive ticks queue q's sequence held still
 	prevHB   []float64
@@ -160,9 +158,9 @@ func (c *Controller) healthExile(d *Decision, now float64) {
 			break
 		}
 		applied := cur
-		if c.act != nil && h.homer != nil {
+		if c.placing {
 			plan := append(c.planBuf[:0], c.lastPlan...)
-			home := h.homer.ThreadHome(id)
+			home := c.team.ThreadHome(id)
 			if home >= 0 && home < len(plan) {
 				plan[home]++
 				applied = c.applyPlan(plan, d)

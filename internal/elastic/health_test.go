@@ -6,25 +6,11 @@ import (
 	"metronome/internal/telemetry"
 )
 
-// fakeHomed is a placement-capable team that also maps threads to homes:
-// the full substrate surface the health layer exiles through.
-type fakeHomed struct {
-	fakeActuator
-	homes map[int]int
-}
-
-func (f *fakeHomed) ThreadHome(id int) int {
-	if h, ok := f.homes[id]; ok {
-		return h
-	}
-	return id % 2
-}
-
-func newHealthRig(minThreads, budget int, mut func(*Config)) (*telemetry.Bus, *fakeHomed, *Controller) {
+func newHealthRig(minThreads, budget int, mut func(*Config)) (*telemetry.Bus, *fakeTeam, *Controller) {
 	bus := telemetry.NewBus(2, budget)
 	bus.Set(telemetry.Capacity, 0, 4096)
 	bus.Set(telemetry.Capacity, 1, 4096)
-	team := &fakeHomed{fakeActuator: fakeActuator{fakeTeam: fakeTeam{size: minThreads, floor: 2}}}
+	team := &fakeTeam{size: minThreads, floor: 2}
 	cfg := DefaultConfig(minThreads, budget)
 	cfg.Placement = true
 	cfg.Health = true
@@ -210,33 +196,43 @@ func TestStragglerExiledAndRecovered(t *testing.T) {
 	}
 }
 
-// Without a placement-capable substrate the exile degrades to a scalar grow.
+// Without the placement law, or over a team that cannot place, the exile
+// degrades to a scalar grow.
 func TestExileScalarFallback(t *testing.T) {
-	bus := telemetry.NewBus(2, 8)
-	bus.Set(telemetry.Capacity, 0, 4096)
-	bus.Set(telemetry.Capacity, 1, 4096)
-	team := &fakeTeam{size: 4, floor: 2}
-	cfg := DefaultConfig(4, 8)
-	cfg.Health = true
-	c := New(bus, team, cfg)
-	c.Tick(0)
-	now := 0.0
-	for i := 0; i < 20 && team.size == 4; i++ {
-		for id := 0; id < 4; id++ {
-			if id != 2 {
-				bus.SetThread(telemetry.Heartbeat, id, now+1)
+	for _, placement := range []bool{false, true} {
+		bus := telemetry.NewBus(2, 8)
+		bus.Set(telemetry.Capacity, 0, 4096)
+		bus.Set(telemetry.Capacity, 1, 4096)
+		team := &fakeTeam{size: 4, floor: 2, roams: true}
+		cfg := DefaultConfig(4, 8)
+		cfg.Placement = placement
+		cfg.Health = true
+		c := New(bus, team, cfg)
+		c.Tick(0)
+		now := 0.0
+		var exiled []int
+		for i := 0; i < 20 && team.size == 4; i++ {
+			for id := 0; id < 4; id++ {
+				if id != 2 {
+					bus.SetThread(telemetry.Heartbeat, id, now+1)
+				}
 			}
+			if i < 4 {
+				bus.SetThread(telemetry.Heartbeat, 2, now+1) // beat a few times before stalling
+			}
+			bus.Add(telemetry.PubSeq, 0, 1)
+			bus.Add(telemetry.PubSeq, 1, 1)
+			now += 0.001
+			exiled = append(exiled, c.Tick(now).Exiled...)
 		}
-		if i < 4 {
-			bus.SetThread(telemetry.Heartbeat, 2, now+1) // beat a few times before stalling
+		if team.size != 5 || len(team.resizes) == 0 || team.resizes[len(team.resizes)-1] != 5 {
+			t.Fatalf("placement %v: scalar exile fallback sized team to %d (resizes %v), want SetTeamSize(5)",
+				placement, team.size, team.resizes)
 		}
-		bus.Add(telemetry.PubSeq, 0, 1)
-		bus.Add(telemetry.PubSeq, 1, 1)
-		now += 0.001
-		c.Tick(now)
-	}
-	if team.size != 5 {
-		t.Fatalf("scalar exile fallback sized team to %d, want 5", team.size)
+		if team.placements != 0 || len(exiled) != 1 || exiled[0] != 2 {
+			t.Fatalf("placement %v: %d plans applied, exiled %v; want no plan and member 2 exiled",
+				placement, team.placements, exiled)
+		}
 	}
 }
 

@@ -207,7 +207,7 @@ func runAblTxBatch(o Options) []*Table {
 		}
 		_, m := runMetronome(runSpec{
 			cfg:   cfg,
-			optFn: func(opt *nic.Options) { opt.TxBatch = batch },
+			optFn: func(opt nic.Options) nic.Options { opt.TxBatch = batch; return opt },
 			procs: []traffic.Process{traffic.CBR{PPS: traffic.Rate64B(1)}},
 			dur:   d, warmup: d * 0.2,
 			seed: o.Seed + uint64(1340+batch),

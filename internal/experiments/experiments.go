@@ -214,8 +214,8 @@ as the whole reproduction with headline quantities as benchmark metrics.
 // only.
 type runSpec struct {
 	cfg    core.Config
-	optFn  func(*nic.Options) // per-queue option tweaks after cfg.RingCap (nil = none)
-	procs  []traffic.Process  // one per queue
+	optFn  func(nic.Options) nic.Options // per-queue option tweaks after cfg.RingCap (nil = none)
+	procs  []traffic.Process             // one per queue (see deploy)
 	dur    float64
 	warmup float64
 	seed   uint64
@@ -245,46 +245,53 @@ type runSpec struct {
 // cfg.Recorder) and non-empty evs the fault plane (fault flips land on
 // cfg.Recorder).
 func Deploy(cfg core.Config, procs []traffic.Process, dur float64, ec *elastic.Config, evs []faults.Event) (*core.Runtime, core.Metrics, elastic.Report) {
-	return runMetronomeElastic(runSpec{cfg: cfg, procs: procs, dur: dur, seed: cfg.Seed, elastic: ec, faults: evs})
+	return deploy(runSpec{cfg: cfg, dur: dur, seed: cfg.Seed, elastic: ec, faults: evs}, procs)
 }
 
 // runMetronome executes the spec and snapshots metrics over the
 // post-warm-up window.
 func runMetronome(s runSpec) (*core.Runtime, core.Metrics) {
-	r, m, _ := runMetronomeElastic(s)
+	r, m, _ := deploy(s, s.procs)
 	return r, m
 }
 
-// runMetronomeElastic is runMetronome plus the elastic control plane: when
-// the spec asks for one, a telemetry bus is attached to the deployment, a
-// controller drives the team from an engine ticker (pure virtual-time
-// events, so elastic sweeps stay byte-identical at any -parallel), and the
-// returned report carries the provisioning account. Static deployments get
-// a synthesized report (M threads for the whole window) so elastic and
-// static rows are comparable in one table.
+// runMetronomeElastic is runMetronome plus the elastic report.
 func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report) {
+	return deploy(s, s.procs)
+}
+
+// deploy builds and runs the spec over procs, one arrival process per
+// queue. When the spec asks for the elastic control plane, a telemetry bus
+// is attached to the deployment, a controller drives the team from an
+// engine ticker (pure virtual-time events, so elastic sweeps stay
+// byte-identical at any -parallel), and the returned report carries the
+// provisioning account. Static deployments get a synthesized report (M
+// threads for the whole window) so elastic and static rows are comparable
+// in one table. procs rides beside the spec, not in it, because the spec
+// escapes: Deploy's caller-owned arrivals slice then stays off the heap.
+func deploy(s runSpec, procs []traffic.Process) (*core.Runtime, core.Metrics, elastic.Report) {
 	budget := s.cfg.M
 	if s.elastic != nil && s.elastic.Budget > budget {
 		budget = s.elastic.Budget
 	}
 	if s.elastic != nil || s.telemetry {
-		s.cfg.Bus = telemetry.NewBus(len(s.procs), budget)
+		s.cfg.Bus = telemetry.NewBus(len(procs), budget)
 	}
 	var inj *faults.Injector
 	if len(s.faults) > 0 {
-		inj = faults.New(budget, len(s.procs))
+		inj = faults.New(budget, len(procs))
 		s.cfg.Faults = inj
 	}
 	eng := sim.New()
 	root := xrand.New(s.seed)
-	queues := make([]*nic.Queue, len(s.procs))
-	for i, p := range s.procs {
+	queues := make([]*nic.Queue, len(procs))
+	for i, p := range procs {
 		opt := nic.DefaultOptions()
 		if s.cfg.RingCap > 0 {
 			opt.Cap = s.cfg.RingCap
 		}
 		if s.optFn != nil {
-			s.optFn(&opt)
+			opt = s.optFn(opt)
 		}
 		queues[i] = nic.NewQueue(i, p, root.Split(), opt)
 	}
@@ -295,7 +302,7 @@ func runMetronomeElastic(s runSpec) (*core.Runtime, core.Metrics, elastic.Report
 	if s.elastic != nil {
 		ec := *s.elastic
 		if ec.MinThreads == 0 {
-			ec.MinThreads = len(s.procs)
+			ec.MinThreads = len(procs)
 		}
 		if ec.Recorder == nil {
 			ec.Recorder = s.cfg.Recorder

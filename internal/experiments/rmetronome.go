@@ -180,9 +180,9 @@ func runRMetronome(o Options) []*Table {
 
 	// Panel 4 — turn-aware wake de-phasing: the same balanced deployments
 	// with members staggered by TS/r off the service-turn counter
-	// (sched.Dephaser). The delta column is the busy-try rate the stagger
-	// buys back; the vacation columns show the eq. (13) target surviving
-	// it (the stagger is mean-preserving across one rotation).
+	// (sched.GroupPolicy.Dephase). The delta column is the busy-try rate
+	// the stagger buys back; the vacation columns show the eq. (13) target
+	// surviving it (the stagger is mean-preserving across one rotation).
 	type dpt struct {
 		mpps     float64
 		nq       int

@@ -188,7 +188,7 @@ type Config struct {
 	// per wakeup.
 	Faults *faults.Injector
 	// Dephase enables turn-aware wake de-phasing in the shared-queue
-	// disciplines (see sched.Dephaser).
+	// disciplines (see sched.GroupPolicy's Dephase).
 	Dephase bool
 	// Recorder, when set, is the observability plane's flight recorder:
 	// every applied placement swap records one event stamped with the
@@ -491,7 +491,7 @@ func (r *Runner) ApplyPlacement(perQueue []int) int {
 }
 
 // CanPlace reports whether ApplyPlacement plans actually land per queue:
-// true only when the discipline binds placeable groups (sched.Rebalancer).
+// true only when the discipline binds service groups (sched.GroupPolicy).
 // Roaming disciplines accept plans but degrade them to the total.
 func (r *Runner) CanPlace() bool { return r.cyc.CanPlace() }
 

@@ -43,7 +43,7 @@ func (p *AdaptiveTS) ObserveCycle(q int, busy, vacation float64) float64 {
 	return ts
 }
 
-// SetTeamSize implements Resizable: eq. (14) depends on M, so the cached
+// SetTeamSize implements Policy: eq. (14) depends on M, so the cached
 // per-queue timeouts re-evaluate immediately at the current load estimates
 // instead of waiting one cycle per queue. Concurrent ObserveCycle stores
 // race benignly: both values are valid eq. (14) outputs and the next cycle

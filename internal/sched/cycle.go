@@ -8,15 +8,15 @@ import (
 )
 
 // Cycle is the decision half of the paper's Listing 2, written once for
-// both execution substrates. It owns the policy, the optional extensions
-// the policy implements (GroupPolicy, Dephaser, Rebalancer, Resizable),
-// the fault injector and the telemetry bus, and answers the three
-// questions every retrieval cycle asks: may this thread contend (Gate),
-// where and how long does a thread that lost the race sleep (LostRace),
-// and what does the lock holder publish and how long does it sleep once
-// the queue is drained (Finish). A substrate keeps its own clock, lock,
-// drain, retirement test and counters, and calls the seam once per try and
-// once per cycle — never per burst or per packet.
+// both execution substrates. It owns the policy (and its GroupPolicy view
+// when the discipline binds service groups), the fault injector and the
+// telemetry bus, and answers the three questions every retrieval cycle
+// asks: may this thread contend (Gate), where and how long does a thread
+// that lost the race sleep (LostRace), and what does the lock holder
+// publish and how long does it sleep once the queue is drained (Finish).
+// A substrate keeps its own clock, lock, drain, retirement test and
+// counters, and calls the seam once per try and once per cycle — never per
+// burst or per packet.
 //
 // Methods follow the Policy concurrency contract: anything may be called
 // from any thread at any time except Finish(…, q, …), which the caller
@@ -27,13 +27,11 @@ import (
 // substrate that built it: no allocation, and the per-burst Publishes test
 // reads the substrate's own memory.
 type Cycle struct {
-	policy  Policy
-	group   GroupPolicy      // nil unless the policy binds service groups
-	dephase Dephaser         // nil unless the policy staggers group wakes
-	place   Rebalancer       // nil unless the policy places threads per queue
-	faults  *faults.Injector // nil on a deployment without a fault plane
-	bus     *telemetry.Bus   // nil on a deployment without telemetry
-	n       int
+	policy Policy
+	group  GroupPolicy      // nil unless the policy binds service groups
+	faults *faults.Injector // nil on a deployment without a fault plane
+	bus    *telemetry.Bus   // nil on a deployment without telemetry
+	n      int
 }
 
 // NewCycle builds the named policy for cfg and the cycle around it; an
@@ -56,8 +54,6 @@ func NewCycle(name string, cfg Config, f *faults.Injector) (Cycle, error) {
 	}
 	c := Cycle{policy: p, faults: f, bus: cfg.Bus, n: cfg.N}
 	c.group, _ = p.(GroupPolicy)
-	c.dephase, _ = p.(Dephaser)
-	c.place, _ = p.(Rebalancer)
 	return c, nil
 }
 
@@ -148,8 +144,8 @@ func (c *Cycle) Home(id int) int {
 func (c *Cycle) LostRace(id, q int, rng Rand) (next int, sleep float64) {
 	sleep = c.policy.TL(q)
 	next = c.policy.PickBackupQueue(q, rng)
-	if c.dephase != nil {
-		sleep = c.dephase.Dephase(id, next, sleep, true)
+	if c.group != nil {
+		sleep = c.group.Dephase(id, next, sleep, true)
 	}
 	return next, sleep
 }
@@ -184,25 +180,23 @@ func (c *Cycle) Finish(id, q int, busy, vacation, threadBusy, now float64) (next
 			next = home
 			sleep = c.policy.TS(home)
 		}
-	}
-	if c.dephase != nil {
-		sleep = c.dephase.Dephase(id, next, sleep, false)
+		sleep = c.group.Dephase(id, next, sleep, false)
 	}
 	return next, sleep
 }
 
 // CanPlace reports whether placement plans land per queue: true only when
-// the discipline binds placeable groups (Rebalancer). Roaming disciplines
+// the discipline binds service groups (GroupPolicy). Roaming disciplines
 // accept plans but degrade them to the total.
-func (c *Cycle) CanPlace() bool { return c.place != nil }
+func (c *Cycle) CanPlace() bool { return c.group != nil }
 
 // Adopt hands a normalised placement plan (see NormalizePlacement) to the
 // policy: the per-queue sizes when it can place, the total otherwise.
 func (c *Cycle) Adopt(sizes []int, total int) {
-	if c.place != nil {
-		c.place.SetPlacement(sizes)
-	} else if p, ok := c.policy.(Resizable); ok {
-		p.SetTeamSize(total)
+	if c.group != nil {
+		c.group.SetPlacement(sizes)
+	} else {
+		c.policy.SetTeamSize(total)
 	}
 }
 
@@ -211,8 +205,8 @@ func (c *Cycle) Adopt(sizes []int, total int) {
 // disciplines let threads wander, so balance is the honest provisioning
 // statement. The slice is the caller's.
 func (c *Cycle) Placement(m int) []int {
-	if c.place != nil {
-		return c.place.Placement()
+	if c.group != nil {
+		return c.group.Placement()
 	}
 	return BalancedPlacement(m, c.n)
 }

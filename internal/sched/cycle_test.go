@@ -144,6 +144,8 @@ func (p *wirePolicy) HomeQueue(thread int) int                           { retur
 func (p *wirePolicy) GroupSize(q int) int                                { return 1 }
 func (p *wirePolicy) ClaimTurn(q int) bool                               { return q != 2 }
 func (p *wirePolicy) Turns(q int) uint64                                 { return 0 }
+func (p *wirePolicy) SetPlacement(sizes []int)                           {}
+func (p *wirePolicy) Placement() []int                                   { return nil }
 func (p *wirePolicy) Dephase(thread, q int, ts float64, backup bool) float64 {
 	b := 0.0
 	if backup {
@@ -259,7 +261,7 @@ func TestCyclePlacement(t *testing.T) {
 		t.Fatal("adaptive claims it places")
 	}
 	roaming.Adopt([]int{4, 1}, 5)
-	if got := roaming.Policy().(Resizable).TeamSize(); got != 5 {
+	if got := roaming.Policy().TeamSize(); got != 5 {
 		t.Fatalf("roaming discipline took team size %d, want the plan's total 5", got)
 	}
 	if got := roaming.Placement(5); !PlacementEqual(got, []int{3, 2}) {

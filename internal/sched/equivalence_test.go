@@ -287,9 +287,7 @@ func TestSimLivePlacementEquivalence(t *testing.T) {
 					t.Fatalf("%s step %d: team sizes sim %d live %d applied %d",
 						policy, step, rt.TeamSize(), runner.TeamSize(), sa)
 				}
-				srb := simPol.(sched.Rebalancer)
-				lrb := livePol.(sched.Rebalancer)
-				sp, lp := srb.Placement(), lrb.Placement()
+				sp, lp := simG.Placement(), liveG.Placement()
 				for q := range sp {
 					if sp[q] != lp[q] {
 						t.Fatalf("%s step %d: placements differ: sim %v live %v", policy, step, sp, lp)
@@ -344,7 +342,8 @@ func TestSimLivePlacementEquivalence(t *testing.T) {
 // cycles), the sim twin's policy and the live runner's policy must agree
 // bit-for-bit on team size, group shape, home assignments, member
 // timeouts, rotation backoffs and load estimates — the elastic control
-// plane drives either side through the same sched.Resizable contract.
+// plane drives either side through the same sched.Policy.SetTeamSize
+// contract.
 func TestSimLiveResizeEquivalence(t *testing.T) {
 	script := []struct {
 		resizeTo int // 0 = no resize this step
@@ -369,11 +368,9 @@ func TestSimLiveResizeEquivalence(t *testing.T) {
 				if sa != la {
 					t.Fatalf("%s step %d: applied sizes differ: sim %d live %d", policy, step, sa, la)
 				}
-				srz := simPol.(sched.Resizable)
-				lrz := livePol.(sched.Resizable)
-				if srz.TeamSize() != lrz.TeamSize() || srz.TeamSize() != sa {
+				if simPol.TeamSize() != livePol.TeamSize() || simPol.TeamSize() != sa {
 					t.Fatalf("%s step %d: policy team sizes sim %d live %d applied %d",
-						policy, step, srz.TeamSize(), lrz.TeamSize(), sa)
+						policy, step, simPol.TeamSize(), livePol.TeamSize(), sa)
 				}
 			}
 			for q := 0; q < 2; q++ {
@@ -395,7 +392,7 @@ func TestSimLiveResizeEquivalence(t *testing.T) {
 				t.Fatalf("%s step %d: group capability differs", policy, step)
 			}
 			if sok {
-				m := simPol.(sched.Resizable).TeamSize()
+				m := simPol.TeamSize()
 				for q := 0; q < 2; q++ {
 					if sg.GroupSize(q) != lg.GroupSize(q) {
 						t.Fatalf("%s step %d q %d: group size %d != %d",

@@ -162,7 +162,7 @@ func TestUniformVacRegistered(t *testing.T) {
 	if p.Name() != NameUniformVac {
 		t.Fatalf("name %q", p.Name())
 	}
-	if _, ok := p.(Resizable); !ok {
-		t.Fatal("uniformvac must be Resizable")
+	if p.SetTeamSize(6); p.TeamSize() != 6 {
+		t.Fatalf("uniformvac resized to %d, want 6", p.TeamSize())
 	}
 }

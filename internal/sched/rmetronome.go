@@ -52,8 +52,8 @@ func init() {
 //
 // The group layout (home queues, member ranks, group sizes) lives behind
 // one atomic pointer, so the elastic control plane can swap in a new
-// r = M/N partition mid-run (Resizable) while live goroutines keep reading
-// a consistent layout.
+// partition mid-run (SetTeamSize, SetPlacement) while live goroutines keep
+// reading a consistent layout.
 type RMetronome struct {
 	base
 	steal  bool
@@ -159,7 +159,7 @@ func (p *RMetronome) ObserveCycle(q int, busy, vacation float64) float64 {
 	return ts
 }
 
-// SetTeamSize implements Resizable as the degenerate balanced plan: swap
+// SetTeamSize implements Policy as the degenerate balanced plan: swap
 // in the r = M/N partition for the new team and republish every queue's
 // eq. (13) member timeout at the current load estimate, so groups adopt
 // their new size within one atomic pointer swap instead of one cycle per
@@ -170,7 +170,7 @@ func (p *RMetronome) SetTeamSize(m int) {
 	p.publishLayout(buildLayout(p.TeamSize(), p.cfg.N))
 }
 
-// SetPlacement implements Rebalancer: adopt an arbitrary per-queue group
+// SetPlacement implements GroupPolicy: adopt an arbitrary per-queue group
 // assignment (entries clamped to >= 1) in one atomic layout swap. Each
 // group's eq. (13) member timeout republishes at its *new* integer size
 // immediately — a queue that just gained members starts holding the
@@ -184,7 +184,7 @@ func (p *RMetronome) SetPlacement(sizes []int) {
 	p.publishLayout(buildPlacedLayout(norm))
 }
 
-// Placement implements Rebalancer.
+// Placement implements GroupPolicy.
 func (p *RMetronome) Placement() []int {
 	return append([]int(nil), p.layout.Load().size...)
 }
@@ -240,7 +240,7 @@ func (p *RMetronome) ClaimTurn(q int) bool {
 // Turns implements GroupPolicy.
 func (p *RMetronome) Turns(q int) uint64 { return p.turns[q].Load() }
 
-// Dephase implements Dephaser: turn-aware wake de-phasing of *colliding*
+// Dephase implements GroupPolicy: turn-aware wake de-phasing of *colliding*
 // group members. The 20-50% busy-try rate the shared-queue family pays at
 // load is not phase clustering alone: a wake drawn anywhere in the cycle
 // lands inside the sibling's ongoing service period with probability ~rho,

@@ -10,9 +10,8 @@
 // -policy flag of the CLIs.
 //
 // The substrates do not talk to a Policy directly: each builds one Cycle
-// (NewCycle), which owns the policy, its optional extensions, the fault
-// injector and the telemetry bus, and is the decision half of the paper's
-// Listing 2 written once — Gate before contending, LostRace after a failed
+// (NewCycle), which owns the policy, the fault injector and the telemetry
+// bus, and is the decision half of the paper's Listing 2 written once — Gate before contending, LostRace after a failed
 // trylock, Finish when the drain is over. A substrate supplies the clock,
 // the lock and the drain.
 //
@@ -99,16 +98,23 @@ type Policy interface {
 	// Estimator exposes the underlying load estimator (observability and
 	// test seeding).
 	Estimator() *RhoEstimator
+	// SetTeamSize adopts m retrieval threads (clamped to >= 1) when the
+	// elastic control plane resizes the team; N is fixed. Implementations
+	// re-derive their M-dependent state (eq. (14)'s M/N, r = M/N groups)
+	// and republish per-queue timeouts, safe against concurrent readers.
+	SetTeamSize(m int)
+	// TeamSize returns the team size the policy currently assumes.
+	TeamSize() int
 }
 
-// GroupPolicy is an optional Policy extension for shared-queue disciplines
-// that bind threads into stable per-queue service groups and arbitrate
-// service turns with an explicit claim. NewCycle probes for it with a type
-// assertion: when present, a thread that finishes a cycle on a foreign
-// queue returns to its home queue (Cycle.Finish), and the wake path claims
-// a turn through Cycle.ClaimTurn, which also states where each substrate
-// places the claim relative to the queue lock and what that buys it.
+// GroupPolicy is the Policy of a shared-queue discipline, which binds
+// threads into per-queue service groups and arbitrates service turns with
+// an explicit claim. NewCycle probes for it once: when present, a thread
+// that finishes a cycle on a foreign queue returns home (Cycle.Finish), the
+// wake path claims a turn (Cycle.ClaimTurn), placement plans land per
+// queue (Cycle.Adopt) and every sleep passes through Dephase.
 type GroupPolicy interface {
+	Policy
 	// HomeQueue returns thread id's home queue.
 	HomeQueue(thread int) int
 	// GroupSize returns how many threads queue q's service group holds.
@@ -118,41 +124,18 @@ type GroupPolicy interface {
 	ClaimTurn(q int) bool
 	// Turns returns the number of service turns claimed on queue q so far.
 	Turns(q int) uint64
-}
-
-// Resizable is an optional Policy extension for disciplines that can adopt
-// a new thread-team size online — the hook the elastic control plane
-// (internal/elastic) drives when it grows or shrinks the team. The queue
-// count N is fixed for a deployment; only M moves. Implementations must
-// re-derive whatever M-dependent state they hold (eq. (14)'s M/N average,
-// r = M/N service-group membership) and republish per-queue timeouts, all
-// safe against concurrent TS/Rho readers and per-queue-serialised
-// ObserveCycle callers. Every built-in policy implements it.
-type Resizable interface {
-	// SetTeamSize adopts m retrieval threads (clamped to >= 1).
-	SetTeamSize(m int)
-	// TeamSize returns the team size the policy currently assumes.
-	TeamSize() int
-}
-
-// Rebalancer is an optional Resizable extension for disciplines that can
-// adopt an *arbitrary* per-queue thread assignment online — the hook the
-// placement plane (internal/elastic's placement law) drives when it moves
-// members between service groups instead of, or in addition to, moving the
-// scalar team size. SetTeamSize remains the degenerate balanced plan:
-// SetTeamSize(m) must be exactly SetPlacement(BalancedPlacement(m, N)).
-// Implementations swap a complete home/rank/size layout atomically and
-// republish per-group timeouts, safe against concurrent TS/Rho readers;
-// per-queue state that outlives a layout (service-turn counters, busy-period
-// EWMAs) must survive the swap so members re-home without losing history.
-type Rebalancer interface {
-	Resizable
 	// SetPlacement adopts sizes[q] threads homed on queue q (entries are
 	// clamped to >= 1 — Sec. IV-E, every queue deserves an attendant); the
-	// team size becomes their sum.
+	// team size becomes their sum, and SetTeamSize(m) must be exactly
+	// SetPlacement(BalancedPlacement(m, N)). The layout swaps atomically;
+	// per-queue state (turn counters, busy EWMAs) survives the swap.
 	SetPlacement(sizes []int)
 	// Placement returns the per-queue group sizes currently in effect.
 	Placement() []int
+	// Dephase returns the possibly adjusted sleep ts for thread's next
+	// wake on queue q: after a completed cycle (backup false) or a lost
+	// race (backup true). Without an opinion it returns ts unchanged.
+	Dephase(thread, q int, ts float64, backup bool) float64
 }
 
 // BalancedPlacement spreads m threads over n queues exactly the way the
@@ -241,19 +224,6 @@ func PlacementEqual(a, b []int) bool {
 	return true
 }
 
-// Dephaser is an optional Policy extension for disciplines that stagger a
-// member's next wake within its service group. The Cycle passes every
-// sleep through Dephase when the policy implements it — the release-path
-// sleep after a completed cycle (Finish, backup false) and the backoff
-// after a lost race (LostRace, backup true, with a service in progress
-// that the adjusted sleep should ride out). A policy without an opinion
-// returns ts unchanged.
-type Dephaser interface {
-	// Dephase returns the possibly adjusted sleep for thread's next wake
-	// on queue q, given the policy-computed timeout ts.
-	Dephase(thread, q int, ts float64, backup bool) float64
-}
-
 // Factory builds a policy instance for a deployment.
 type Factory func(Config) Policy
 
@@ -322,10 +292,10 @@ func (b *base) init(cfg Config) {
 	b.m.Store(int64(cfg.M))
 }
 
-// TeamSize implements Resizable: the thread count the policy assumes.
+// TeamSize implements Policy: the thread count the policy assumes.
 func (b *base) TeamSize() int { return int(b.m.Load()) }
 
-// SetTeamSize implements Resizable for disciplines whose only M-dependent
+// SetTeamSize implements Policy for disciplines whose only M-dependent
 // state is the team size itself (fixed, busypoll). Disciplines that derive
 // timeouts or group shapes from M re-publish them on top of this.
 func (b *base) SetTeamSize(m int) {

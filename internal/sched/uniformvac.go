@@ -85,7 +85,7 @@ func (p *UniformVac) ObserveCycle(q int, busy, vacation float64) float64 {
 	return p.TS(q)
 }
 
-// SetTeamSize implements Resizable: k = M/N changed, so the eq. (6)
+// SetTeamSize implements Policy: k = M/N changed, so the eq. (6)
 // inversion re-evaluates.
 func (p *UniformVac) SetTeamSize(m int) {
 	p.base.SetTeamSize(m)

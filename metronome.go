@@ -176,21 +176,11 @@ type (
 	SchedConfig = sched.Config
 	// RhoEstimator is the shared per-queue EWMA load estimator (eq. 11).
 	RhoEstimator = sched.RhoEstimator
-	// SchedGroupPolicy is the optional Policy extension shared-queue
-	// disciplines implement: per-queue service groups, home queues, and
-	// CAS-claimed service turns.
+	// SchedGroupPolicy is the Policy of a shared-queue discipline
+	// (rmetronome, worksteal): per-queue service groups, home queues,
+	// CAS-claimed service turns, per-queue placement plans and turn-aware
+	// wake de-phasing.
 	SchedGroupPolicy = sched.GroupPolicy
-	// SchedResizable is the optional Policy extension resizable
-	// disciplines implement: adopting a new thread-team size online.
-	SchedResizable = sched.Resizable
-	// SchedRebalancer is the optional Resizable extension placement-aware
-	// disciplines implement: adopting an arbitrary per-queue thread
-	// assignment online (rmetronome/worksteal swap a full home/rank/size
-	// layout behind one atomic pointer).
-	SchedRebalancer = sched.Rebalancer
-	// SchedDephaser is the optional Policy extension for turn-aware wake
-	// de-phasing of shared-queue groups.
-	SchedDephaser = sched.Dephaser
 )
 
 // Built-in policy names for SimConfig.Policy / RunnerConfig.Policy.
@@ -220,6 +210,8 @@ func NewPolicy(name string, cfg SchedConfig) (SchedPolicy, error) { return sched
 
 // RegisterPolicy installs a custom discipline; it becomes selectable by
 // name in the simulator, the live runtime, the experiments and the CLIs.
+// Every SchedPolicy implements SetTeamSize/TeamSize, so the elastic
+// controller can resize a team running it.
 func RegisterPolicy(name string, factory func(SchedConfig) SchedPolicy) {
 	sched.Register(name, factory)
 }
@@ -261,14 +253,11 @@ type (
 	// ElasticReport summarises a controller window: thread-seconds,
 	// resize count, team-size envelope.
 	ElasticReport = elastic.Report
-	// ElasticTeam is anything the controller can resize; Runner and the
-	// sim twin's core.Runtime both implement it.
+	// ElasticTeam is anything the controller can resize and place; Runner
+	// and the sim twin's core.Runtime both implement it. The placement law
+	// (ElasticConfig.Placement) actuates through ApplyPlacement, with
+	// SetTeamSize retained as the balanced special case.
 	ElasticTeam = elastic.Team
-	// ElasticActuator is a Team that can adopt a full per-queue placement
-	// plan (ApplyPlacement); both substrates implement it, and the
-	// controller's placement law (ElasticConfig.Placement) actuates
-	// through it with SetTeamSize retained as the balanced special case.
-	ElasticActuator = elastic.Actuator
 	// ElasticPlan is one placement actuation: a team total and its
 	// per-queue apportionment.
 	ElasticPlan = elastic.Plan
