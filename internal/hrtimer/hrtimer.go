@@ -16,7 +16,8 @@
 // the netpoller, clock_nanosleep on a locked thread) were measured too:
 // they cut light-load median latency about fivefold and double to
 // quadruple the retrieval CPU, because a kernel wake costs about 27 us of
-// CPU in a VM however it is armed; see ROADMAP item 2.
+// CPU in a VM however it is armed; see ROADMAP's settled measurements,
+// "Sleeper, acquitted on this host".
 package hrtimer
 
 import (

@@ -54,11 +54,12 @@ func (p *Pool) NewCacheSize(watermark int) *Cache {
 
 // GetBurst leases up to len(dst) buffers into dst and returns the count —
 // rte_mempool_get_bulk with a cache. Local hits cost no atomics; a miss
-// pulls the remainder straight from the shared ring in one bulk dequeue
-// and refills the cache with one watermark-sized span for the next calls.
-// A short count means the pool (ring plus this cache) is exhausted; each
-// short call counts one fail into Stats (an exhaustion event, not one per
-// missing buffer, so retry loops don't inflate the counter).
+// pulls the remainder straight from the pool in one span (the shared ring
+// first, then buffers built on demand) and refills the cache with one
+// watermark-sized span for the next calls. A short count means the pool
+// (ring, unbuilt buffers and this cache) is exhausted; each short call
+// counts one fail into Stats (an exhaustion event, not one per missing
+// buffer, so retry loops don't inflate the counter).
 func (c *Cache) GetBurst(dst []*Mbuf) int {
 	want := len(dst)
 	if want == 0 {
@@ -111,8 +112,8 @@ func (c *Cache) Get() (*Mbuf, error) {
 	return c.pool.Get()
 }
 
-// refill tops the local stack up to the watermark with one bulk dequeue
-// from the shared ring (fewer if the ring is short).
+// refill tops the local stack up to the watermark with one span from the
+// pool (fewer if the pool is short).
 func (c *Cache) refill() {
 	if len(c.buf) >= c.keep {
 		return

@@ -1,7 +1,7 @@
 // Package mbuf provides packet buffers and a fixed-size buffer pool in the
-// mould of DPDK's rte_mbuf/rte_mempool: buffers are preallocated once,
-// leased and returned without garbage, and the pool is safe for concurrent
-// use by producer and consumer threads.
+// mould of DPDK's rte_mbuf/rte_mempool: buffers are built on first demand,
+// up to the pool's size, then leased and returned without garbage, and the
+// pool is safe for concurrent use by producer and consumer threads.
 //
 // The pool is built like rte_mempool: a lock-free shared backing store (an
 // MPMC head/tail ring from internal/ring) fronted by optional per-thread
@@ -120,14 +120,20 @@ func FreeBurst(ms []*Mbuf) {
 // are safe for concurrent use; per-thread Caches (NewCache) front it for
 // burst workloads.
 type Pool struct {
-	free *ring.MPMC[*Mbuf]
-	size int
+	free  *ring.MPMC[*Mbuf]
+	size  int
+	built atomic.Int64 // buffers allocated so far, never more than size
 
 	allocs atomic.Int64
 	fails  atomic.Int64
 }
 
-// NewPool preallocates size buffers.
+// NewPool returns a pool of up to size buffers. It allocates only the free
+// ring: a buffer is built the first time a lease finds the ring short, so
+// the pool's footprint is its high-water mark of demand — the most buffers
+// ever out at once plus those parked in caches — and is never handed back.
+// size stays the cap, and the figure the cache-sizing rule (NewCache)
+// budgets against.
 func NewPool(size int) *Pool {
 	capacity := 2
 	for capacity < size {
@@ -137,36 +143,30 @@ func NewPool(size int) *Pool {
 	if err != nil {
 		panic(err) // unreachable: capacity is a power of two >= 2
 	}
-	p := &Pool{size: size, free: r}
-	for i := 0; i < size; i++ {
-		m := &Mbuf{}
-		m.Data = m.backing[:]
-		if !p.free.Enqueue(m) {
-			panic("mbuf: pool ring undersized") // unreachable
-		}
-	}
-	return p
+	return &Pool{size: size, free: r}
 }
 
 // Size returns the configured pool size.
 func (p *Pool) Size() int { return p.size }
 
-// Available returns the number of free buffers currently in the shared
-// ring. Buffers resident in per-thread Caches are free but not counted
-// here — Available undercounts by up to the summed cache occupancy until
-// those caches spill or Flush. For an exact account, Flush every cache
-// first (retiring threads must anyway).
-func (p *Pool) Available() int { return p.free.Len() }
+// Available returns the number of free buffers: those in the shared ring
+// plus those not built yet, so Available() == Size() still means every
+// buffer is home. Buffers resident in per-thread Caches are free but not
+// counted here — Available undercounts by up to the summed cache occupancy
+// until those caches spill or Flush. For an exact account, Flush every
+// cache first (retiring threads must anyway).
+func (p *Pool) Available() int { return p.free.Len() + p.size - int(p.built.Load()) }
 
 // Get leases a buffer from the shared ring, or returns ErrExhausted. This
 // is the degenerate single-element path; burst producers should lease
 // through a Cache.
 //
-// ErrExhausted means the ring held no published buffer at the attempt.
-// Buffers a concurrent PutBurst spill is still writing into the ring do not
-// count yet (see ring.MPMC), and others may be resident in per-thread
-// Caches (see Available), so callers that must not drop should retry after
-// yielding rather than charge a drop on the first failure.
+// ErrExhausted means every buffer was built and the ring held no published
+// one at the attempt. Buffers a concurrent PutBurst spill is still writing
+// into the ring do not count yet (see ring.MPMC), and others may be
+// resident in per-thread Caches (see Available), so callers that must not
+// drop should retry after yielding rather than charge a drop on the first
+// failure.
 func (p *Pool) Get() (*Mbuf, error) {
 	var one [1]*Mbuf
 	if p.getSpan(one[:]) == 0 {
@@ -193,9 +193,31 @@ func (p *Pool) putSpan(ms []*Mbuf) {
 	}
 }
 
-// getSpan bulk-leases up to len(dst) buffers from the ring without
-// resetting them (the serving Cache resets on hand-out).
-func (p *Pool) getSpan(dst []*Mbuf) int { return p.free.DequeueBurst(dst) }
+// getSpan bulk-leases up to len(dst) buffers without resetting them (the
+// serving Cache resets on hand-out): from the ring first, and when the ring
+// comes up short, the shortfall from the unbuilt budget — reserved with one
+// CAS on built, and allocated straight into dst.
+func (p *Pool) getSpan(dst []*Mbuf) int {
+	n := p.free.DequeueBurst(dst)
+	if n == len(dst) {
+		return n
+	}
+	for {
+		built := p.built.Load()
+		k := min(int64(p.size)-built, int64(len(dst)-n))
+		if k <= 0 {
+			return n
+		}
+		if p.built.CompareAndSwap(built, built+k) {
+			for i := n; i < n+int(k); i++ {
+				m := &Mbuf{}
+				m.Data = m.backing[:]
+				dst[i] = m
+			}
+			return n + int(k)
+		}
+	}
+}
 
 // Stats reports allocation counters, aggregated across the pool's direct
 // path and every Cache with relaxed atomic adds — one add per call or

@@ -45,6 +45,85 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestNewPoolBuildsNothing pins demand building's first half: a fresh pool
+// allocates its free ring and no buffer — a 16384-buffer pool built eagerly
+// would take 37.7 MB — and still reads every buffer home.
+func TestNewPoolBuildsNothing(t *testing.T) {
+	const size = 16384
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	p := NewPool(size)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("NewPool(%d) allocated %d B, want < 1 MiB", size, grew)
+	}
+	if p.Available() != p.Size() {
+		t.Fatalf("fresh pool available %d of %d", p.Available(), p.Size())
+	}
+	runtime.KeepAlive(p)
+}
+
+// TestDemandBuildExhaustsAtSize is demand building under contention: four
+// goroutines with their own caches lease from a fresh pool until it runs
+// dry. Nothing is returned while they lease, so each goroutine drains its
+// own cache and then sees exactly one short GetBurst; between them they
+// must hold exactly size distinct buffers — the CAS on built never hands
+// out one past the cap — and after they return and flush everything the
+// pool must read every buffer home.
+func TestDemandBuildExhaustsAtSize(t *testing.T) {
+	const (
+		goroutines = 4
+		size       = 4099 // not a multiple of the burst: the last reservations are partial
+	)
+	p := NewPool(size)
+	leased := make([][]*Mbuf, goroutines)
+	var wg sync.WaitGroup
+	for g := range leased {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := p.NewCache()
+			var dst [32]*Mbuf
+			for {
+				n := c.GetBurst(dst[:])
+				leased[g] = append(leased[g], dst[:n]...)
+				if n < len(dst) {
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	seen := make(map[*Mbuf]bool, size)
+	for _, ms := range leased {
+		for _, m := range ms {
+			if seen[m] {
+				t.Fatalf("buffer %p leased twice", m)
+			}
+			seen[m] = true
+		}
+	}
+	if len(seen) != size {
+		t.Fatalf("leased %d distinct buffers, want %d", len(seen), size)
+	}
+	if allocs, fails := p.Stats(); allocs != size || fails != goroutines {
+		t.Fatalf("allocs=%d fails=%d, want %d and %d", allocs, fails, size, goroutines)
+	}
+	for _, ms := range leased {
+		wg.Add(1)
+		go func(ms []*Mbuf) {
+			defer wg.Done()
+			c := p.NewCache()
+			c.PutBurst(ms)
+			c.Flush()
+		}(ms)
+	}
+	wg.Wait()
+	if p.Available() != p.Size() {
+		t.Fatalf("after return available %d of %d", p.Available(), p.Size())
+	}
+}
+
 func TestDoubleFreePanics(t *testing.T) {
 	p := NewPool(1)
 	m, _ := p.Get()

@@ -156,7 +156,7 @@ type Config struct {
 	// what the policy asks the Sleeper for, not what the Sleeper delivers:
 	// the default GoSleeper wakes on a millisecond grid (measured in the
 	// hrtimer package doc and bench/BASELINE.md; what the clumped wakes do
-	// to the load estimate is ROADMAP item 2). VBar is also the unit of the
+	// to the load estimate is ROADMAP item 3(b)). VBar is also the unit of the
 	// saturated-queue linger (see Runner.linger).
 	VBar time.Duration
 	// TL is the backup timeout (default 50*VBar).

@@ -97,7 +97,9 @@ type (
 	FlowKey = packet.FlowKey
 )
 
-// NewPool preallocates n packet buffers.
+// NewPool returns a pool of up to n packet buffers, built on first demand:
+// its footprint is its high-water mark of demand, never handed back, and n
+// stays the cap the cache-sizing rule budgets against.
 func NewPool(n int) *Pool { return mbuf.NewPool(n) }
 
 // FreeMbufBurst returns a whole burst to its pools in bulk — one ring
