@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"strings"
@@ -50,8 +51,15 @@ func main() {
 	)
 	flag.Parse()
 
-	// core.New panics on these; reject them here with a message instead.
+	// core.New panics on these, and the rest would run a configuration
+	// other than the one asked for; reject them here with a message instead.
 	switch {
+	case !(*mpps >= 0) || math.IsInf(*mpps, 1):
+		fail("-mpps must be a finite rate >= 0, not %v", *mpps)
+	case !(*gbps >= 0) || math.IsInf(*gbps, 1):
+		fail("-gbps must be a finite rate >= 0, not %v", *gbps)
+	case *capacity < 0:
+		fail("-cap must be >= 0 (0 = nic default), not %d", *capacity)
 	case *vbar < 0:
 		fail("-vbar must be >= 0, not %v", *vbar)
 	case *tl < 0:
@@ -115,6 +123,9 @@ func main() {
 		}
 		if ecfg.Budget <= 0 {
 			ecfg.Budget = 2 * *m
+		}
+		if ecfg.Budget < ecfg.MinThreads {
+			fail("-elastic-budget %d is below the team floor -elastic-min %d", ecfg.Budget, ecfg.MinThreads)
 		}
 		ecfg.Period = elasticPeriod.Seconds()
 		ecfg.TargetOccupancy = *elasticOcc

@@ -9,7 +9,7 @@ import (
 	"metronome/internal/packet"
 )
 
-func newGW(t *testing.T) (*Gateway, *SA) {
+func newGW(t testing.TB) (*Gateway, *SA) {
 	t.Helper()
 	g := New(42)
 	sa := &SA{
@@ -25,7 +25,7 @@ func newGW(t *testing.T) (*Gateway, *SA) {
 	return g, sa
 }
 
-func mkPacket(t *testing.T, pool *mbuf.Pool, dst packet.Addr) *mbuf.Mbuf {
+func mkPacket(t testing.TB, pool *mbuf.Pool, dst packet.Addr) *mbuf.Mbuf {
 	t.Helper()
 	m, err := pool.Get()
 	if err != nil {
@@ -262,4 +262,41 @@ func BenchmarkEncapDecap(b *testing.B) {
 		g.Process(m)
 		g.Process(m)
 	}
+}
+
+// FuzzGatewayProcess feeds arbitrary wire bytes through a fresh gateway:
+// ESP decap parses untrusted input, so no frame may panic it, and whatever
+// it decides must be a valid verdict over a frame that still fits its
+// buffer. Frames are capped at a standard 1500 B MTU.
+func FuzzGatewayProcess(f *testing.F) {
+	g, _ := newGW(f)
+	pool := mbuf.NewPool(2)
+	plain := mkPacket(f, pool, packet.AddrFrom4(10, 1, 1, 1))
+	f.Add(append([]byte(nil), plain.Bytes()...))
+	if v := g.Process(plain); v != apps.Forward {
+		f.Fatalf("seed encap verdict = %v", v)
+	}
+	f.Add(append([]byte(nil), plain.Bytes()...))
+	plain.Free()
+
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		if len(frame) > 1500 {
+			frame = frame[:1500]
+		}
+		g, _ := newGW(t)
+		m, err := mbuf.NewPool(1).Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.SetFrame(frame)
+		switch v := g.Process(m); v {
+		case apps.Forward, apps.Drop, apps.Consume:
+		default:
+			t.Fatalf("verdict %v", v)
+		}
+		if m.Len < 0 || m.Len > len(m.Data) {
+			t.Fatalf("frame length %d outside its %d B buffer", m.Len, len(m.Data))
+		}
+		m.Free()
+	})
 }

@@ -15,6 +15,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"metronome/internal/cpu"
 	"metronome/internal/faults"
@@ -50,7 +51,7 @@ type Config struct {
 	// application-registered name); empty means adaptive. The policy name
 	// is the only selector: the fixed discipline sleeps VBar.
 	// Like the other Config validations, an unknown name panics in New;
-	// pre-validate user-supplied names with sched.New / PolicyNames.
+	// pre-validate user-supplied names with sched.New.
 	Policy string
 	// PollCost is the CPU time of one empty rx_burst call.
 	PollCost float64
@@ -80,9 +81,10 @@ type Config struct {
 	// path free of even the publishing branches' stores.
 	Bus *telemetry.Bus
 	// Faults, when set, is the deterministic fault-injection plane the run
-	// consults on its cycle path: dead threads park, stalled threads sleep
-	// through their windows, dark queues poll empty while their backlog
-	// builds, and frozen queues stop publishing telemetry. Flag flips arrive
+	// consults on its cycle path: stalled threads sleep through their
+	// windows (a stall without end parks the thread), dark queues poll
+	// empty while their backlog builds, and frozen queues stop publishing
+	// telemetry. Flag flips arrive
 	// through ordinary engine events (faults.Schedule), so a faulted run
 	// stays a pure function of its seed. Nil keeps the hot path to one
 	// pointer test per wakeup.
@@ -625,15 +627,15 @@ func (r *Runtime) wakeup(th *thread) {
 		return
 	}
 	now := r.Eng.Now()
-	switch gate, until := r.cyc.Gate(th.id, now); gate {
-	case sched.GateDead:
-		// Thread death: the pending timer fires one last time and the
-		// thread parks for good — no engine event would poll the flag.
-		// Revival goes through the placement path (an ApplyPlacement
-		// un-park arms a fresh wake).
-		th.parked = true
-		return
-	case sched.GateStalled:
+	if gate, until := r.cyc.Gate(th.id, now); gate == sched.GateStalled {
+		if math.IsInf(until, 1) {
+			// A stall without end (thread death): the pending timer fires
+			// one last time and the thread parks — no engine event would
+			// poll the flag. Revival goes through the placement path (an
+			// ApplyPlacement un-park arms a fresh wake).
+			th.parked = true
+			return
+		}
 		// Stall: the thread sleeps through its service turns until the
 		// window ends, without contending or re-tuning anything.
 		r.Eng.At(until, "metronome-stall-resume", th.wakeFn)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"metronome/internal/faults"
@@ -54,9 +55,11 @@ func TestStalledThreadSleepsThroughWindow(t *testing.T) {
 	}
 }
 
+// A dead thread is one stalled until +Inf: the twin parks it rather than
+// scheduling a resume event that would never come due.
 func TestDeadThreadParksAndTeamSurvives(t *testing.T) {
 	evs := []faults.Event{
-		{At: 0.01, Kind: faults.ThreadDeath, Target: 1},
+		{At: 0.01, Kind: faults.ThreadStall, Target: 1, Until: math.Inf(1)},
 	}
 	eng, r, _ := faultRig(t, sched.NameAdaptive, evs, 12)
 	var atDeath int64
@@ -132,7 +135,7 @@ func TestFaultedRunDeterministic(t *testing.T) {
 			{At: 0.005, Kind: faults.ThreadStall, Target: 2, Until: 0.015},
 			{At: 0.008, Kind: faults.QueueBlackout, Target: 1},
 			{At: 0.011, Kind: faults.QueueRecover, Target: 1},
-			{At: 0.012, Kind: faults.ThreadDeath, Target: 3},
+			{At: 0.012, Kind: faults.ThreadStall, Target: 3, Until: math.Inf(1)},
 			{At: 0.02, Kind: faults.TelemetryFreeze, Target: 0},
 			{At: 0.03, Kind: faults.TelemetryThaw, Target: 0},
 		}
@@ -156,24 +159,29 @@ func TestFaultedRunDeterministic(t *testing.T) {
 	}
 }
 
-// Dead threads are revivable through the placement path: ThreadRevive clears
-// the flag and a subsequent ApplyPlacement un-park re-arms the member.
-func TestDeadThreadRevivedByPlacement(t *testing.T) {
+// Dead threads are revivable through the placement path: a stall that ends
+// at the revival instant clears the permanent one, and a subsequent
+// ApplyPlacement un-park re-arms the parked member.
+func TestDeadThreadBackOnPlacement(t *testing.T) {
 	evs := []faults.Event{
-		{At: 0.01, Kind: faults.ThreadDeath, Target: 3},
-		{At: 0.02, Kind: faults.ThreadRevive, Target: 3},
+		{At: 0.01, Kind: faults.ThreadStall, Target: 3, Until: math.Inf(1)},
+		{At: 0.02, Kind: faults.ThreadStall, Target: 3, Until: 0.02},
 	}
 	eng, r, _ := faultRig(t, sched.NameRMetronome, evs, 15)
+	var atDeath, beforePlace int64
+	eng.At(0.012, "sample-death", func() { atDeath = r.CyclesByThread[3] })
+	eng.At(0.0249, "sample-before-place", func() { beforePlace = r.CyclesByThread[3] })
 	eng.At(0.025, "re-place", func() {
 		// Shrink past the dead slot then grow back: the grow un-parks the
 		// revived thread with a fresh wake event.
 		r.ApplyPlacement([]int{1, 2})
 		r.ApplyPlacement([]int{2, 2})
 	})
-	var atRevive int64
-	eng.At(0.026, "sample-revive", func() { atRevive = r.CyclesByThread[3] })
 	eng.RunUntil(0.05)
-	if r.CyclesByThread[3] <= atRevive {
+	if beforePlace != atDeath {
+		t.Fatalf("parked thread served %d cycles before any placement re-armed it", beforePlace-atDeath)
+	}
+	if r.CyclesByThread[3] <= beforePlace {
 		t.Fatalf("revived thread never served again (cycles %d)", r.CyclesByThread[3])
 	}
 }

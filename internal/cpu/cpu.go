@@ -152,9 +152,6 @@ func NewAccounting(n int) *Accounting {
 // SetName labels thread i for reports.
 func (a *Accounting) SetName(i int, name string) { a.names[i] = name }
 
-// Len returns the number of tracked threads.
-func (a *Accounting) Len() int { return len(a.busy) }
-
 // Grow extends the table to n threads (no-op if already that large) — the
 // elastic control plane adds threads mid-run and their CPU time must land
 // in the same getrusage-style account.

@@ -17,15 +17,14 @@
 // The controller is substrate-agnostic and clockless: callers invoke
 // Tick(now) on their own cadence — an engine Ticker in the sim (which
 // keeps elastic runs deterministic at any experiment-harness parallelism),
-// a wall-clock ticker via Run in a live deployment.
+// a wall-clock ticker passing the live runner's Elapsed in a live
+// deployment, so decisions and the runner's placement events share a clock.
 package elastic
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime/debug"
-	"time"
 
 	"metronome/internal/obsv"
 	"metronome/internal/power"
@@ -878,27 +877,6 @@ func (c *Controller) ResetStats(now float64) {
 	if h := c.health; h != nil {
 		h.exiles, h.safeTicks, h.staleQTicks, h.panics = 0, 0, 0, 0
 		h.panicMsg, h.panicStack = "", ""
-	}
-}
-
-// Run drives the controller on wall-clock ticks until ctx is cancelled —
-// the live-runtime entry point. Tick times are seconds since Run started,
-// matching the controller's clockless contract.
-func (c *Controller) Run(ctx context.Context) {
-	period := time.Duration(c.cfg.Period * float64(time.Second))
-	if period <= 0 {
-		period = time.Millisecond
-	}
-	start := time.Now()
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-tick.C:
-			c.Tick(time.Since(start).Seconds())
-		}
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -128,9 +129,12 @@ func TestChaosSoakSim(t *testing.T) {
 			})
 		case 2:
 			th := opRng.Intn(budget)
+			// Death is a stall without end; revival is a stall that ends
+			// when it lands.
+			revive := at + opRng.Uniform(0.01, 0.06)
 			evs = append(evs,
-				faults.Event{At: at, Kind: faults.ThreadDeath, Target: th},
-				faults.Event{At: at + opRng.Uniform(0.01, 0.06), Kind: faults.ThreadRevive, Target: th})
+				faults.Event{At: at, Kind: faults.ThreadStall, Target: th, Until: math.Inf(1)},
+				faults.Event{At: revive, Kind: faults.ThreadStall, Target: th, Until: revive})
 		case 3:
 			q := opRng.Intn(nq)
 			evs = append(evs,
@@ -164,7 +168,6 @@ func TestChaosSoakSim(t *testing.T) {
 	// settle.
 	eng.At(horizon+0.05, "chaos-clear", func() {
 		for id := 0; id < budget; id++ {
-			inj.ReviveThread(id)
 			inj.StallThread(id, 0)
 		}
 		for q := 0; q < nq; q++ {

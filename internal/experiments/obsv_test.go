@@ -40,7 +40,7 @@ func obsvScript() []obsvStep {
 		{ev: f(faults.ControllerDown, 0)},
 		{ev: f(faults.ControllerUp, 0)},
 		{plan: []int{2, 2}},
-		{ev: f(faults.ThreadRevive, 1)},
+		{ev: f(faults.TelemetryFreeze, 1)},
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package faults is the deterministic fault-injection plane underneath the
 // robustness experiments: a fixed set of atomic fault flags — per-thread
-// stalls and deaths, per-queue blackouts and telemetry freezes, a
+// stalls, per-queue blackouts and telemetry freezes, a
 // controller-outage switch — that both execution substrates consult on
 // their cycle paths and an experiment (or a chaos test) flips on a
 // schedule.
@@ -13,12 +13,13 @@
 // goroutine under -race. Reads are one atomic load behind a nil check — a
 // deployment without an injector pays only the nil branch.
 //
-// The fault vocabulary is the failure surface PR 7's control loop must
-// survive (ISSUE 7): a noisy neighbor preempting a member through k service
-// turns (StallThread), a member dying outright (KillThread), a NIC queue
-// going dark and recovering (SetQueueDark), a queue's gauges freezing at
-// their last published value (FreezeTelemetry), and the controller's tick
-// source being suppressed for a window (SuppressController).
+// The fault vocabulary is the failure surface the elastic control loop must
+// survive: a noisy neighbor preempting a member through k service turns
+// (StallThread; a member that dies outright is one stalled until +Inf, and
+// a stall ending now revives it), a NIC queue going dark and recovering
+// (SetQueueDark), a queue's gauges freezing at their last published value
+// (FreezeTelemetry), and the controller's tick source being suppressed for
+// a window (SuppressController).
 package faults
 
 import (
@@ -34,23 +35,21 @@ import (
 // (the same layout rule as the telemetry bus slots).
 type threadFault struct {
 	stallUntil atomic.Uint64 // float64 bits; 0 = no stall
-	dead       atomic.Bool
-	_          [55]byte
+	_          [56]byte
 }
 
 // queueFault is one queue's fault state, padded like threadFault.
 type queueFault struct {
 	dark   atomic.Bool
 	frozen atomic.Bool
-	_      [62]byte
+	_      [56]byte
 }
 
-// Injector holds the fault flags for one deployment: nt thread slots and nq
-// queue slots, sized once at construction (size for the elastic budget, not
-// the initial team — a resize beyond the sized arrays is ignored on set and
-// healthy on query, never a fault of its own).
+// Injector holds the fault flags for one deployment: thread and queue slots
+// sized once at construction (size for the elastic budget, not the initial
+// team — a resize beyond the sized arrays is ignored on set and healthy on
+// query, never a fault of its own).
 type Injector struct {
-	nt, nq  int
 	threads []threadFault
 	queues  []queueFault
 	ctrl    atomic.Bool
@@ -75,25 +74,18 @@ func New(maxThreads, nQueues int) *Injector {
 		nQueues = 1
 	}
 	return &Injector{
-		nt:      maxThreads,
-		nq:      nQueues,
 		threads: make([]threadFault, maxThreads),
 		queues:  make([]queueFault, nQueues),
 	}
 }
 
-// Threads returns the number of thread slots.
-func (f *Injector) Threads() int { return f.nt }
-
-// Queues returns the number of queue slots.
-func (f *Injector) Queues() int { return f.nq }
-
 // StallThread preempts thread id until the given substrate time: its wakeups
 // before then do not contend (the noisy neighbor holds the core), modelling
 // a member that sleeps through k service turns. A later until extends an
-// ongoing stall; a past one clears it.
+// ongoing stall; a past one clears it. An until of +Inf is thread death: the
+// member never contends again until a StallThread(id, now) revives it.
 func (f *Injector) StallThread(id int, until float64) {
-	if id < 0 || id >= f.nt {
+	if id < 0 || id >= len(f.threads) {
 		return
 	}
 	f.threads[id].stallUntil.Store(math.Float64bits(until))
@@ -103,7 +95,7 @@ func (f *Injector) StallThread(id int, until float64) {
 // is set. Callers compare against their own clock: the injector stores, it
 // does not tell time.
 func (f *Injector) StalledUntil(id int) (float64, bool) {
-	if id < 0 || id >= f.nt {
+	if id < 0 || id >= len(f.threads) {
 		return 0, false
 	}
 	bits := f.threads[id].stallUntil.Load()
@@ -113,38 +105,11 @@ func (f *Injector) StalledUntil(id int) (float64, bool) {
 	return math.Float64frombits(bits), true
 }
 
-// KillThread parks thread id permanently: its next wakeup parks instead of
-// contending, and resizes that re-admit the id find it dead again.
-func (f *Injector) KillThread(id int) {
-	if id < 0 || id >= f.nt {
-		return
-	}
-	f.threads[id].dead.Store(true)
-}
-
-// ReviveThread clears a thread death (test and recovery-scenario hook). A
-// revived thread re-enters through the substrate's ordinary re-admission
-// path: a resize or placement change that covers its id.
-func (f *Injector) ReviveThread(id int) {
-	if id < 0 || id >= f.nt {
-		return
-	}
-	f.threads[id].dead.Store(false)
-}
-
-// Dead reports whether thread id has been killed.
-func (f *Injector) Dead(id int) bool {
-	if id < 0 || id >= f.nt {
-		return false
-	}
-	return f.threads[id].dead.Load()
-}
-
 // SetQueueDark blacks out (or recovers) queue q: polls find nothing while
 // arrivals keep accruing against the ring — the NIC-side link flap the
 // substrates model via their queue's dark mode.
 func (f *Injector) SetQueueDark(q int, dark bool) {
-	if q < 0 || q >= f.nq {
+	if q < 0 || q >= len(f.queues) {
 		return
 	}
 	f.queues[q].dark.Store(dark)
@@ -152,7 +117,7 @@ func (f *Injector) SetQueueDark(q int, dark bool) {
 
 // QueueDark reports whether queue q is blacked out.
 func (f *Injector) QueueDark(q int) bool {
-	if q < 0 || q >= f.nq {
+	if q < 0 || q >= len(f.queues) {
 		return false
 	}
 	return f.queues[q].dark.Load()
@@ -164,7 +129,7 @@ func (f *Injector) QueueDark(q int) bool {
 // layer must reject. Per-thread signals (heartbeats, duty) stay live; the
 // fault is the queue's, not the thread's.
 func (f *Injector) FreezeTelemetry(q int, frozen bool) {
-	if q < 0 || q >= f.nq {
+	if q < 0 || q >= len(f.queues) {
 		return
 	}
 	f.queues[q].frozen.Store(frozen)
@@ -172,7 +137,7 @@ func (f *Injector) FreezeTelemetry(q int, frozen bool) {
 
 // TelemetryFrozen reports whether queue q's telemetry is frozen.
 func (f *Injector) TelemetryFrozen(q int) bool {
-	if q < 0 || q >= f.nq {
+	if q < 0 || q >= len(f.queues) {
 		return false
 	}
 	return f.queues[q].frozen.Load()
@@ -191,12 +156,9 @@ func (f *Injector) ControllerSuppressed() bool { return f.ctrl.Load() }
 type Kind int
 
 const (
-	// ThreadStall stalls Target until Until (StallThread).
+	// ThreadStall stalls Target until Until (StallThread): +Inf kills it,
+	// an Until at or before At revives it.
 	ThreadStall Kind = iota
-	// ThreadDeath kills Target permanently (KillThread).
-	ThreadDeath
-	// ThreadRevive clears Target's death (ReviveThread).
-	ThreadRevive
 	// QueueBlackout blacks out queue Target (SetQueueDark true).
 	QueueBlackout
 	// QueueRecover recovers queue Target (SetQueueDark false).
@@ -212,7 +174,7 @@ const (
 )
 
 var kindNames = [...]string{
-	"thread-stall", "thread-death", "thread-revive",
+	"thread-stall",
 	"queue-blackout", "queue-recover",
 	"telemetry-freeze", "telemetry-thaw",
 	"controller-down", "controller-up",
@@ -243,10 +205,6 @@ func (f *Injector) Apply(ev Event) {
 	switch ev.Kind {
 	case ThreadStall:
 		f.StallThread(ev.Target, ev.Until)
-	case ThreadDeath:
-		f.KillThread(ev.Target)
-	case ThreadRevive:
-		f.ReviveThread(ev.Target)
 	case QueueBlackout:
 		f.SetQueueDark(ev.Target, true)
 	case QueueRecover:

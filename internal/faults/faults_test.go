@@ -1,27 +1,35 @@
 package faults
 
 import (
+	"math"
 	"testing"
+	"unsafe"
 
 	"metronome/internal/sim"
 )
 
+func TestSlotsFillOneCacheLine(t *testing.T) {
+	if n := unsafe.Sizeof(threadFault{}); n != 64 {
+		t.Errorf("threadFault is %d bytes, want one 64 B line", n)
+	}
+	if n := unsafe.Sizeof(queueFault{}); n != 64 {
+		t.Errorf("queueFault is %d bytes, want one 64 B line", n)
+	}
+}
+
 func TestThreadFaultLifecycle(t *testing.T) {
 	f := New(4, 2)
-	if f.Dead(0) || f.Dead(99) || f.Dead(-1) {
-		t.Fatal("fresh injector reports deaths")
+	// Death is a stall that never ends; a stall ending now revives.
+	f.StallThread(1, math.Inf(1))
+	if until, ok := f.StalledUntil(1); !ok || !math.IsInf(until, 1) {
+		t.Fatalf("permanent stall: StalledUntil(1) = %v,%v want +Inf,true", until, ok)
 	}
-	f.KillThread(1)
-	if !f.Dead(1) {
-		t.Fatal("KillThread(1) not visible")
-	}
-	f.ReviveThread(1)
-	if f.Dead(1) {
-		t.Fatal("ReviveThread(1) not visible")
+	f.StallThread(1, 3)
+	if until, _ := f.StalledUntil(1); until != 3 {
+		t.Fatalf("revival at 3: StalledUntil(1) = %v", until)
 	}
 	// Out-of-range sets must be ignored, not fault.
-	f.KillThread(99)
-	f.KillThread(-1)
+	f.StallThread(-1, 1)
 	f.StallThread(99, 1)
 
 	if _, ok := f.StalledUntil(0); ok {
@@ -78,14 +86,6 @@ func TestApplyCoversEveryKind(t *testing.T) {
 	if _, ok := f.StalledUntil(0); !ok {
 		t.Fatal("ThreadStall not applied")
 	}
-	f.Apply(Event{Kind: ThreadDeath, Target: 1})
-	if !f.Dead(1) {
-		t.Fatal("ThreadDeath not applied")
-	}
-	f.Apply(Event{Kind: ThreadRevive, Target: 1})
-	if f.Dead(1) {
-		t.Fatal("ThreadRevive not applied")
-	}
 	f.Apply(Event{Kind: QueueBlackout, Target: 0})
 	if !f.QueueDark(0) {
 		t.Fatal("QueueBlackout not applied")
@@ -118,10 +118,11 @@ func TestScheduleFiresInVirtualTime(t *testing.T) {
 	Schedule(eng, f, []Event{
 		{At: 0.10, Kind: QueueBlackout, Target: 0},
 		{At: 0.30, Kind: QueueRecover, Target: 0},
-		{At: 0.20, Kind: ThreadDeath, Target: 1},
+		{At: 0.20, Kind: ThreadStall, Target: 1, Until: math.Inf(1)},
 	})
+	dead := func() bool { until, _ := f.StalledUntil(1); return math.IsInf(until, 1) }
 	eng.RunUntil(0.05)
-	if f.QueueDark(0) || f.Dead(1) {
+	if f.QueueDark(0) || dead() {
 		t.Fatal("faults fired early")
 	}
 	eng.RunUntil(0.15)
@@ -129,14 +130,14 @@ func TestScheduleFiresInVirtualTime(t *testing.T) {
 		t.Fatal("blackout did not fire at 0.10")
 	}
 	eng.RunUntil(0.25)
-	if !f.Dead(1) {
+	if !dead() {
 		t.Fatal("death did not fire at 0.20")
 	}
 	eng.RunUntil(0.35)
 	if f.QueueDark(0) {
 		t.Fatal("recovery did not fire at 0.30")
 	}
-	if !f.Dead(1) {
+	if !dead() {
 		t.Fatal("death should persist")
 	}
 }

@@ -115,9 +115,6 @@ func (m *Model) Mean(req float64) float64 {
 	return m.p.gain*req + m.p.base
 }
 
-// Overhead returns the fixed part of the service latency.
-func (m *Model) Overhead() float64 { return m.p.base }
-
 // --- real-time side -------------------------------------------------------
 
 // Sleeper is the contract the real-time Metronome runtime sleeps through.

@@ -115,9 +115,6 @@ func NewQueue(id int, proc traffic.Process, rng *xrand.Rand, opt Options) *Queue
 	return &Queue{ID: id, Opt: opt, Proc: proc, Rng: rng}
 }
 
-// Serving reports whether a service (busy period) is in progress.
-func (q *Queue) Serving() bool { return q.serving }
-
 // Occupancy returns the buffered packet count at time t (synchronising
 // pending arrivals if the queue is idle).
 func (q *Queue) Occupancy(t float64) float64 {
@@ -423,7 +420,3 @@ func (q *Queue) Fill(t float64, n float64) {
 	q.syncIdle(t)
 	q.addArrivals(n)
 }
-
-// NewRngFor derives a queue-local RNG from a parent seed, giving each queue
-// an independent stream.
-func NewRngFor(parent *xrand.Rand) *xrand.Rand { return parent.Split() }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -69,10 +70,11 @@ func TestChaosSoakLive(t *testing.T) {
 			case 0, 1:
 				inj.StallThread(rng.Intn(4), r.Elapsed()+rng.Uniform(0.001, 0.004))
 			case 2:
+				// Death is a stall without end; revival ends it now.
 				id := rng.Intn(4)
-				inj.KillThread(id)
+				inj.StallThread(id, math.Inf(1))
 				pause(200, 2000)
-				inj.ReviveThread(id)
+				inj.StallThread(id, r.Elapsed())
 			case 3:
 				q := rng.Intn(2)
 				inj.SetQueueDark(q, true)
@@ -94,10 +96,9 @@ func TestChaosSoakLive(t *testing.T) {
 			}
 			pause(100, 500)
 		}
-		// Clear everything: live revival is automatic (dead members poll
-		// their flag from the TL sleep loop), stalls expire by value.
+		// Clear everything: live revival is automatic (stalled members
+		// re-check their gate every TL), and a zero end clears any stall.
 		for id := 0; id < 4; id++ {
-			inj.ReviveThread(id)
 			inj.StallThread(id, 0)
 		}
 		for q := 0; q < 2; q++ {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -85,19 +86,20 @@ func TestResizeRacesThreadStall(t *testing.T) {
 	}
 }
 
-// Satellite: a dead member is re-homed by a placement plan while dead, then
-// revived — it must come back serving its new home without a restart.
+// Satellite: a dead member (stalled until +Inf) is re-homed by a placement
+// plan while dead, then revived by a stall that ends now — it must come
+// back serving its new home without a restart.
 func TestRehomeDeadMemberThenRevive(t *testing.T) {
 	bench, r, inj, processed, stop := faultBench(t, 4, Config{Policy: sched.NameRMetronome, Seed: 22})
 	defer stop()
 	ctx := context.Background()
-	inj.KillThread(1)
+	inj.StallThread(1, math.Inf(1))
 	time.Sleep(2 * time.Millisecond)
 	// Re-home everything while thread 1 is dead: plans land per queue, so
 	// the dead member's home may move under it.
 	r.ApplyPlacement([]int{3, 1})
 	r.ApplyPlacement([]int{1, 3})
-	inj.ReviveThread(1)
+	inj.StallThread(1, r.Elapsed())
 	sent := bench.produce(ctx, 20000)
 	if !drainTo(processed, uint64(sent), 5*time.Second) {
 		t.Fatalf("processed %d of %d after dead-member re-home", processed.Load(), sent)
@@ -105,6 +107,72 @@ func TestRehomeDeadMemberThenRevive(t *testing.T) {
 	cycles := r.Stats.Cycles.Load()
 	if cycles == 0 {
 		t.Fatal("no cycles after revival")
+	}
+}
+
+// countingSleeper counts the sleeps it starts.
+type countingSleeper struct{ n atomic.Int64 }
+
+func (c *countingSleeper) Sleep(d time.Duration) {
+	c.n.Add(1)
+	time.Sleep(d)
+}
+
+// A live thread under a stall without end re-asks the gate once per TL: it
+// neither spins (every sleep lasts at least TL, so a window W holds at most
+// ceil(W/TL)+1 of them) nor hands +Inf to the sleeper. Clearing the stall
+// lets it serve again after at most the sleep in flight (<= TL) plus one
+// wake, with no placement round-trip.
+func TestLivePermanentStallWakesEveryTL(t *testing.T) {
+	const tl = 2 * time.Millisecond
+	b := newBench(t, 1)
+	sl := &countingSleeper{}
+	var servedAfter atomic.Int64 // sleeps started when the first packet was served
+	servedAfter.Store(-1)
+	handler := func(batch []*mbuf.Mbuf) {
+		servedAfter.CompareAndSwap(-1, sl.n.Load())
+		for _, mb := range batch {
+			mb.Free()
+		}
+	}
+	inj := faults.New(1, 1)
+	inj.StallThread(0, math.Inf(1))
+	r := New(b.queues, handler, Config{M: 1, TL: tl, Sleeper: sl, Faults: inj})
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() { defer wg.Done(); r.Run(ctx) }()
+	defer func() { cancel(); wg.Wait() }()
+
+	if b.produce(ctx, 1) != 1 {
+		t.Fatal("could not enqueue the probe packet")
+	}
+	time.Sleep(5 * time.Millisecond)
+	n0, began := sl.n.Load(), time.Now()
+	time.Sleep(50 * time.Millisecond)
+	wakes, window := sl.n.Load()-n0, time.Since(began)
+	if limit := int64((window+tl-1)/tl) + 1; wakes > limit {
+		t.Fatalf("dead thread woke %d times in %v, want <= %d (one per TL)", wakes, window, limit)
+	}
+	if wakes == 0 {
+		t.Fatal("dead thread never re-checked its gate")
+	}
+	if c := r.Stats.Cycles.Load(); c != 0 || servedAfter.Load() != -1 {
+		t.Fatalf("dead thread served: %d cycles", c)
+	}
+
+	cleared := sl.n.Load()
+	inj.StallThread(0, r.Elapsed())
+	for deadline := time.Now().Add(2 * time.Second); servedAfter.Load() < 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("revived thread never served")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The sleep in flight at the clear, plus one started by a gate check
+	// that raced the clear.
+	if got := servedAfter.Load() - cleared; got > 1 {
+		t.Fatalf("revived thread slept %d more times before serving, want <= 1", got)
 	}
 }
 

@@ -135,15 +135,6 @@ func (handlerProc) ProcessBurst([]*mbuf.Mbuf, []apps.Verdict) {}
 // only valid until it returns (the retrieval goroutine reuses it).
 type EmitFunc func(q int, ms []*mbuf.Mbuf, verdicts []apps.Verdict)
 
-// FreeAll recycles every mbuf of the burst into its pool in bulk
-// (mbuf.FreeBurst: one ring enqueue per same-pool run, not one per
-// packet). It is the stateless form of what a nil emit does on the
-// processor path — there, each retrieval goroutine additionally coalesces
-// returns across bursts through a per-goroutine mbuf.Recycler cache.
-func FreeAll(q int, ms []*mbuf.Mbuf, verdicts []apps.Verdict) {
-	mbuf.FreeBurst(ms)
-}
-
 // Burst is the PollBurst size of every retrieval goroutine.
 const Burst = 32
 
@@ -166,7 +157,7 @@ type Config struct {
 	// empty means adaptive. The policy name is the only selector: the
 	// fixed discipline sleeps VBar. Like New's other validations, an
 	// unknown name panics at construction; pre-validate user-supplied
-	// names with sched.New / metronome.PolicyNames.
+	// names with sched.New.
 	Policy string
 	// Sleeper is the sleep service (default hrtimer.GoSleeper).
 	Sleeper hrtimer.Sleeper
@@ -180,12 +171,12 @@ type Config struct {
 	// reads occupancy from it.
 	Bus *telemetry.Bus
 	// Faults, when set, is the deterministic fault-injection plane the
-	// retrieval goroutines consult on their cycle path: dead threads park in
-	// a revival-polling sleep, stalled threads sleep through their windows
-	// (stall bounds are seconds on the Elapsed clock), dark queues win their
-	// lock but skip the drain while the ring backs up, and frozen queues
-	// stop publishing telemetry. Nil keeps the hot path to one pointer test
-	// per wakeup.
+	// retrieval goroutines consult on their cycle path: stalled threads sleep
+	// through their windows, re-checking every TL so a stall without end
+	// never spins and a revival is seen within one TL (stall bounds are
+	// seconds on the Elapsed clock), dark queues win their lock but skip
+	// the drain while the ring backs up, and frozen queues stop publishing
+	// telemetry. Nil keeps the hot path to one pointer test per wakeup.
 	Faults *faults.Injector
 	// Dephase enables turn-aware wake de-phasing in the shared-queue
 	// disciplines (see sched.GroupPolicy's Dephase).
@@ -582,16 +573,14 @@ func (r *Runner) threadLoop(ctx context.Context, id int) {
 			// Stall windows are seconds on the Elapsed clock; this is the same
 			// clock read without Elapsed's lock.
 			now := time.Duration(r.nanotime()).Seconds()
-			switch gate, until := r.cyc.Gate(id, now); gate {
-			case sched.GateDead:
-				// Thread death: stop cycling (the heartbeat freezes, which is
-				// how the health layer notices) but keep polling the flag so
-				// a revival resumes service without a placement round-trip.
-				r.cfg.Sleeper.Sleep(seconds(r.cyc.Policy().TL(q)))
-				continue
-			case sched.GateStalled:
-				// Stall: sleep through the window without contending.
-				r.cfg.Sleeper.Sleep(seconds(until - now))
+			if gate, until := r.cyc.Gate(id, now); gate == sched.GateStalled {
+				// Stall: sleep through the window without contending, at
+				// most TL at a time (the heartbeat freezes, which is how the
+				// health layer notices). Re-asking every TL bounds a stall
+				// without end (thread death) and lets a revival — a stall
+				// that ends now — resume service without a placement
+				// round-trip; min keeps +Inf away from the sleeper.
+				r.cfg.Sleeper.Sleep(seconds(min(until-now, r.cyc.Policy().TL(q))))
 				continue
 			}
 		}
@@ -744,42 +733,4 @@ func burstLatencies(lats []uint64, now int64, ms []*mbuf.Mbuf) []uint64 {
 		}
 	}
 	return lats
-}
-
-// StaticPoller is the comparator: one busy-spinning goroutine per queue,
-// exactly the classic DPDK loop of Listing 1. It exists so applications
-// (and the examples) can measure what Metronome saves them.
-type StaticPoller struct {
-	Queues  []RxQueue
-	Handler Handler
-	Burst   int
-
-	Packets atomic.Uint64
-	Polls   atomic.Uint64
-}
-
-// Run blocks until ctx is cancelled, burning one goroutine per queue.
-func (s *StaticPoller) Run(ctx context.Context) {
-	burst := s.Burst
-	if burst <= 0 {
-		burst = Burst
-	}
-	var wg sync.WaitGroup
-	for _, q := range s.Queues {
-		wg.Add(1)
-		go func(q RxQueue) {
-			defer wg.Done()
-			buf := make([]*mbuf.Mbuf, burst)
-			for ctx.Err() == nil {
-				s.Polls.Add(1)
-				n := q.PollBurst(buf)
-				if n == 0 {
-					continue
-				}
-				s.Handler(buf[:n])
-				s.Packets.Add(uint64(n))
-			}
-		}(q)
-	}
-	wg.Wait()
 }

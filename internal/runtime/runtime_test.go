@@ -325,37 +325,6 @@ func TestNewValidation(t *testing.T) {
 	New(nil, func(b []*mbuf.Mbuf) {}, Config{})
 }
 
-func TestStaticPollerProcesses(t *testing.T) {
-	bench := newBench(t, 1)
-	var processed atomic.Uint64
-	sp := &StaticPoller{
-		Queues: bench.queues,
-		Handler: func(batch []*mbuf.Mbuf) {
-			for _, m := range batch {
-				processed.Add(1)
-				m.Free()
-			}
-		},
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); sp.Run(ctx) }()
-	sent := bench.produce(ctx, 5000)
-	deadline := time.Now().Add(2 * time.Second)
-	for processed.Load() < uint64(sent) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	cancel()
-	wg.Wait()
-	if processed.Load() != uint64(sent) {
-		t.Fatalf("processed %d of %d", processed.Load(), sent)
-	}
-	if sp.Polls.Load() == 0 {
-		t.Fatal("no polls")
-	}
-}
-
 // TestThreadRNGStreamsDependOnQueueCount is the regression test for the
 // per-thread RNG seeding: two runners built from the same seed but
 // different queue counts must not share backup-selection streams, and the
@@ -774,7 +743,7 @@ func TestProcRunnerDefaultEmitFrees(t *testing.T) {
 	if proc.packets.Load() != int64(sent) {
 		t.Fatalf("processed %d of %d", proc.packets.Load(), sent)
 	}
-	// FreeAll recycled every mbuf.
+	// The nil emit recycled every mbuf.
 	if bench.pool.Available() != bench.pool.Size() {
 		t.Fatalf("pool leak: %d/%d", bench.pool.Available(), bench.pool.Size())
 	}

@@ -71,12 +71,10 @@ type Gate uint8
 const (
 	// GateRun lets the thread contend its queue.
 	GateRun Gate = iota
-	// GateDead means the thread has been killed: it must not contend until
-	// revived. What "not contending" looks like is the substrate's — the
-	// twin parks the thread (no engine event would poll the flag), the live
-	// loop sleeps TL and asks again.
-	GateDead
-	// GateStalled means the thread is preempted until the returned time.
+	// GateStalled means the thread is preempted until the returned time,
+	// which is +Inf for a dead thread. What waiting out a stall with no end
+	// looks like is the substrate's — the twin parks the thread (no engine
+	// event would poll the flag), the live loop sleeps TL and asks again.
 	GateStalled
 )
 
@@ -87,9 +85,6 @@ const (
 func (c *Cycle) Gate(id int, now float64) (Gate, float64) {
 	if c.faults == nil {
 		return GateRun, 0
-	}
-	if c.faults.Dead(id) {
-		return GateDead, 0
 	}
 	if until, ok := c.faults.StalledUntil(id); ok && now < until {
 		return GateStalled, until

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -42,14 +43,17 @@ func TestCycleGate(t *testing.T) {
 	if g, _ := c.Gate(1, 0); g != GateRun {
 		t.Fatalf("healthy thread gated: %v", g)
 	}
-	f.KillThread(1)
-	if g, _ := c.Gate(1, 0); g != GateDead {
-		t.Fatalf("dead thread: gate %v", g)
+	f.StallThread(1, math.Inf(1)) // death: a stall that never ends
+	if g, until := c.Gate(1, 1e9); g != GateStalled || !math.IsInf(until, 1) {
+		t.Fatalf("dead thread: gate %v until %v, want stalled until +Inf", g, until)
 	}
 	if g, _ := c.Gate(2, 0); g != GateRun {
 		t.Fatalf("a neighbour's death gated thread 2: %v", g)
 	}
-	f.ReviveThread(1)
+	f.StallThread(1, 2.0) // revival: the stall ends now
+	if g, _ := c.Gate(1, 2.0); g != GateRun {
+		t.Fatalf("revived thread gated: %v", g)
+	}
 	f.StallThread(1, 2.5)
 	if g, until := c.Gate(1, 2.0); g != GateStalled || until != 2.5 {
 		t.Fatalf("inside the window: gate %v until %v, want stalled until 2.5", g, until)
@@ -61,12 +65,6 @@ func TestCycleGate(t *testing.T) {
 	f.StallThread(1, 0) // a zero end clears the window
 	if g, _ := c.Gate(1, 2.0); g != GateRun {
 		t.Fatalf("cleared window still gates: %v", g)
-	}
-	// Death outranks a stall: a dead thread must not be handed a resume time.
-	f.StallThread(1, 9)
-	f.KillThread(1)
-	if g, _ := c.Gate(1, 2.0); g != GateDead {
-		t.Fatalf("dead and stalled: gate %v, want dead", g)
 	}
 }
 

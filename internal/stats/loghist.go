@@ -100,12 +100,6 @@ func (h *LogHistogram) Record(v uint64) {
 	h.n++
 }
 
-// RecordN counts value v (nanoseconds) n times.
-func (h *LogHistogram) RecordN(v, n uint64) {
-	h.counts[LogBucketIndex(v)] += n
-	h.n += n
-}
-
 // AddBucket adds c observations directly into bucket i — the folding
 // primitive used when sampling an atomic counter block off the telemetry
 // bus into a caller-owned histogram.

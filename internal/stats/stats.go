@@ -237,12 +237,6 @@ func (h *Histogram) Add(x float64) {
 // N returns the total count.
 func (h *Histogram) N() int64 { return h.n }
 
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
 // Density returns the empirical PDF value of bin i (integrates to ~1).
 func (h *Histogram) Density(i int) float64 {
 	if h.n == 0 {
@@ -250,20 +244,6 @@ func (h *Histogram) Density(i int) float64 {
 	}
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return float64(h.Counts[i]) / (float64(h.n) * w)
-}
-
-// CDFAt returns the fraction of samples <= x (by whole bins).
-func (h *Histogram) CDFAt(x float64) float64 {
-	if h.n == 0 {
-		return 0
-	}
-	var c int64
-	for i := range h.Counts {
-		if h.BinCenter(i) <= x {
-			c += h.Counts[i]
-		}
-	}
-	return float64(c) / float64(h.n)
 }
 
 // KSDistance returns the Kolmogorov–Smirnov distance between the

@@ -277,21 +277,6 @@ func (s Step) CountIn(t0, t1 float64, rng *xrand.Rand) int64 {
 	return s.Before.CountIn(t0, s.At, rng) + s.After.CountIn(s.At, t1, rng)
 }
 
-// Scaled wraps a process with a multiplicative factor; the multiqueue
-// experiments use it to hand each Rx queue its RSS share of the total load.
-type Scaled struct {
-	P      Process
-	Factor float64
-}
-
-// Rate implements Process.
-func (s Scaled) Rate(t float64) float64 { return s.Factor * s.P.Rate(t) }
-
-// CountIn scales the expected count (deterministic thinning).
-func (s Scaled) CountIn(t0, t1 float64, rng *xrand.Rand) int64 {
-	return int64(s.Factor * float64(s.P.CountIn(t0, t1, rng)))
-}
-
 // UnbalancedShares reproduces the Sec. V-F.4 pcap: heavyShare of the
 // traffic belongs to one UDP flow (pinned by the Toeplitz hash to a single
 // queue) and the rest is uniformly random across flows, hence evenly split

@@ -117,16 +117,6 @@ func TestOnOffPartialPhase(t *testing.T) {
 	}
 }
 
-func TestScaled(t *testing.T) {
-	s := Scaled{P: CBR{PPS: 1e6}, Factor: 0.25}
-	if s.Rate(0) != 0.25e6 {
-		t.Error("scaled rate wrong")
-	}
-	if got := s.CountIn(0, 1, nil); got != 250000 {
-		t.Errorf("scaled count = %d", got)
-	}
-}
-
 func TestUnbalancedShares(t *testing.T) {
 	shares := UnbalancedShares(0.30, 3)
 	if len(shares) != 3 {

@@ -25,7 +25,6 @@ package metronome
 import (
 	"time"
 
-	"metronome/internal/apps"
 	"metronome/internal/core"
 	"metronome/internal/elastic"
 	"metronome/internal/experiments"
@@ -73,12 +72,12 @@ type (
 	// RunnerConfig tunes a Runner; the zero value takes paper defaults.
 	// Policy is the only discipline selector (empty means adaptive; fixed
 	// sleeps VBar). The EWMA α and the PollBurst size are constants
-	// (sched.Alpha = 0.125, runtime.Burst = 32).
+	// (sched.Alpha = 0.125, runtime.Burst = 32). Faults takes an injector
+	// built inside this module (its tests and experiments); other callers
+	// leave it nil.
 	RunnerConfig = runtime.Config
 	// Runner drives M goroutines over N shared queues, Metronome style.
 	Runner = runtime.Runner
-	// StaticPoller is the busy-polling comparator (Listing 1).
-	StaticPoller = runtime.StaticPoller
 	// RxRing is a ring-backed RxQueue with its producer side exposed;
 	// NewRxRing picks the cheapest safe ring specialisation.
 	RxRing = runtime.RxRing
@@ -102,17 +101,6 @@ type (
 // stays the cap the cache-sizing rule budgets against.
 func NewPool(n int) *Pool { return mbuf.NewPool(n) }
 
-// FreeMbufBurst returns a whole burst to its pools in bulk — one ring
-// enqueue per same-pool run instead of one per packet. Goroutines that free
-// repeatedly should hold a PoolRecycler (or a PoolCache) instead, so
-// returns also batch across bursts.
-func FreeMbufBurst(ms []*Mbuf) { mbuf.FreeBurst(ms) }
-
-// Nanotime reads the process-local monotonic clock Mbuf.RxStampNs is
-// denominated in: producers stamp arrivals with it, consumers subtract
-// their own read to get a retrieval latency.
-func Nanotime() int64 { return mbuf.Nanotime() }
-
 // NewRing builds a packet ring; capacity must be a power of two >= 2.
 func NewRing(capacity int) (*Ring, error) {
 	return ring.NewMPMC[*mbuf.Mbuf](capacity)
@@ -133,59 +121,12 @@ func NewRunner(queues []RxQueue, handler Handler, cfg RunnerConfig) *Runner {
 	return runtime.New(queues, handler, cfg)
 }
 
-// --- application plane --------------------------------------------------------
-
-// The application plane is the burst-native processor contract the sample
-// applications (l3fwd, ipsec-secgw, flowatcher) implement: one virtual
-// dispatch per burst, verdicts written into a caller-owned buffer, zero
-// allocations per burst in steady state.
-type (
-	// Verdict is a processor's per-packet decision (Forward/Drop/Consume).
-	Verdict = apps.Verdict
-	// Processor is the per-packet application contract (calibration shim).
-	Processor = apps.Processor
-	// BurstProcessor processes packets a PollBurst at a time — the
-	// application-plane fast path NewProcRunner dispatches to.
-	BurstProcessor = apps.BurstProcessor
-	// PerPacket adapts a per-packet Processor to BurstProcessor (the
-	// calibration shim the benchmarks compare the native paths against).
-	PerPacket = apps.PerPacket
-	// EmitFunc disposes of a served burst in the processor path.
-	EmitFunc = runtime.EmitFunc
-)
-
-// FreeAll is the default EmitFunc: recycle every mbuf into its pool.
-func FreeAll(q int, ms []*Mbuf, verdicts []Verdict) { runtime.FreeAll(q, ms, verdicts) }
-
-// NewProcRunner builds the real-time Metronome on the application plane:
-// queue q's drains go straight to procs[q].ProcessBurst, then to emit (nil
-// emit frees every mbuf). One processor per queue is the sharding contract —
-// the per-queue trylock serialises drains, so procs[q] is single-writer.
-func NewProcRunner(queues []RxQueue, procs []BurstProcessor, emit EmitFunc, cfg RunnerConfig) *Runner {
-	return runtime.NewProc(queues, procs, emit, cfg)
-}
-
 // --- scheduling policies -----------------------------------------------------
 
-// Both the simulation twin (SimConfig.Policy) and the real-time runtime
-// (RunnerConfig.Policy) select their sleep&wake discipline by name from the
-// sched registry; the same Policy implementation drives both substrates.
-type (
-	// SchedPolicy is one sleep&wake scheduling discipline: timeout
-	// selection, load estimation, and backup queue choice.
-	SchedPolicy = sched.Policy
-	// SchedConfig parameterises a policy for one deployment.
-	SchedConfig = sched.Config
-	// RhoEstimator is the shared per-queue EWMA load estimator (eq. 11).
-	RhoEstimator = sched.RhoEstimator
-	// SchedGroupPolicy is the Policy of a shared-queue discipline
-	// (rmetronome, worksteal): per-queue service groups, home queues,
-	// CAS-claimed service turns, per-queue placement plans and turn-aware
-	// wake de-phasing.
-	SchedGroupPolicy = sched.GroupPolicy
-)
-
-// Built-in policy names for SimConfig.Policy / RunnerConfig.Policy.
+// Built-in policy names for SimConfig.Policy / RunnerConfig.Policy: both
+// the simulation twin and the real-time runtime select their sleep&wake
+// discipline by name from one registry, and the same implementation drives
+// both substrates.
 const (
 	// PolicyAdaptive is the paper's eq. (13)/(14) discipline.
 	PolicyAdaptive = sched.NameAdaptive
@@ -207,27 +148,14 @@ const (
 	PolicyUniformVac = sched.NameUniformVac
 )
 
-// NewPolicy instantiates a registered scheduling discipline by name.
-func NewPolicy(name string, cfg SchedConfig) (SchedPolicy, error) { return sched.New(name, cfg) }
-
-// RegisterPolicy installs a custom discipline; it becomes selectable by
-// name in the simulator, the live runtime, the experiments and the CLIs.
-// Every SchedPolicy implements SetTeamSize/TeamSize, so the elastic
-// controller can resize a team running it.
-func RegisterPolicy(name string, factory func(SchedConfig) SchedPolicy) {
-	sched.Register(name, factory)
-}
-
-// PolicyNames lists the registered disciplines.
-func PolicyNames() []string { return sched.Names() }
-
 // --- elastic control plane ----------------------------------------------------
 
 // The elastic control plane autoscales the retrieval team over a live
 // telemetry bus: both the simulation twin (SimulateElastic) and the live
 // runtime honour mid-run resizes. Wire a live deployment by sharing one
-// TelemetryBus between RunnerConfig.Bus and NewElasticController, then run
-// the controller loop: go ctrl.Run(ctx).
+// TelemetryBus between RunnerConfig.Bus and NewElasticController, then call
+// ctrl.Tick(runner.Elapsed()) on a ticker, so decisions are stamped on the
+// runner's clock (see ExampleNewElasticController).
 type (
 	// TelemetryBus is the lock-free fixed-slot telemetry plane both
 	// substrates publish into and the elastic controller samples; its
@@ -324,16 +252,12 @@ func NewElasticController(bus *TelemetryBus, team ElasticTeam, cfg ElasticConfig
 
 // --- fault plane ---------------------------------------------------------------
 
-// The fault plane injects deterministic failures underneath either
-// substrate: wire an injector into RunnerConfig.Faults (or SimConfig.Faults)
-// and flip its flags from tests, chaos schedules, or SimulateElastic's
-// events. The elastic controller's health layer (ElasticConfig.Health) is
-// the matching defence: heartbeat liveness, stale-gauge rejection,
+// The fault plane injects deterministic failures underneath the simulation
+// twin: SimulateElastic fires a schedule of FaultEvents against the
+// deployment. The elastic controller's health layer (ElasticConfig.Health)
+// is the matching defence: heartbeat liveness, stale-gauge rejection,
 // straggler exile and a safe-team fallback.
 type (
-	// FaultInjector is the shared set of atomic fault flags both substrates
-	// consult on their cycle paths. A nil injector costs one branch.
-	FaultInjector = faults.Injector
 	// FaultEvent is one scheduled flag flip (at virtual time At).
 	FaultEvent = faults.Event
 	// FaultKind enumerates the failure vocabulary.
@@ -342,12 +266,10 @@ type (
 
 // The injectable failure kinds.
 const (
-	// FaultThreadStall preempts a member until the Until timestamp.
+	// FaultThreadStall preempts a member until the Until timestamp; an
+	// Until of +Inf kills it, and a later stall ending when it lands
+	// revives it.
 	FaultThreadStall = faults.ThreadStall
-	// FaultThreadDeath removes a member outright until revived.
-	FaultThreadDeath = faults.ThreadDeath
-	// FaultThreadRevive returns a dead member to service.
-	FaultThreadRevive = faults.ThreadRevive
 	// FaultQueueBlackout makes a queue's drains see an empty ring.
 	FaultQueueBlackout = faults.QueueBlackout
 	// FaultQueueRecover ends a blackout.
@@ -361,12 +283,6 @@ const (
 	// FaultControllerUp restores the controller's tick source.
 	FaultControllerUp = faults.ControllerUp
 )
-
-// NewFaultInjector builds an injector over maxThreads thread slots and
-// nQueues queues (size it for the elastic budget, not the initial team).
-func NewFaultInjector(maxThreads, nQueues int) *FaultInjector {
-	return faults.New(maxThreads, nQueues)
-}
 
 // StragglerStorm appends a periodic stall storm against one thread: every
 // period in [from, before), the thread stalls for stall seconds.
@@ -413,7 +329,8 @@ const (
 	TraceSafeExit = obsv.EvSafeExit
 	// TraceDarkLoss is a reconciler-detected silent drop window.
 	TraceDarkLoss = obsv.EvDarkLoss
-	// TraceFault is an injected fault flag flip (see AttachFaultTrace).
+	// TraceFault is an injected fault flag flip (SimulateElastic records
+	// them when SimConfig.Recorder is set).
 	TraceFault = obsv.EvFault
 	// TraceRateLimit marks a resize withheld by the actuation governor.
 	TraceRateLimit = obsv.EvRateLimit
@@ -430,11 +347,6 @@ func NewTraceRecorder(capacity int) *TraceRecorder { return obsv.NewRecorder(cap
 // metrotop operator view — at it.
 func NewMetricsHandler(opt MetricsOptions) *MetricsHandler { return obsv.NewMetrics(opt) }
 
-// AttachFaultTrace routes a fault injector's flag flips into the flight
-// recorder, so injected failures appear on the same timeline as the
-// control loop's reactions to them. Nil-safe on both arguments.
-func AttachFaultTrace(inj *FaultInjector, rec *TraceRecorder) { obsv.AttachFaults(inj, rec) }
-
 // --- power plane ---------------------------------------------------------------
 
 // The power plane prices a deployment's sleep-state residency with a
@@ -443,8 +355,8 @@ func AttachFaultTrace(inj *FaultInjector, rec *TraceRecorder) { obsv.AttachFault
 // surplus cores parked in the deep C-state. The joules objective
 // (ElasticObjectiveJoules) steers the controller with the same model.
 type (
-	// PowerConfig is the CPU power calibration (DefaultPowerConfig ships
-	// the Xeon Silver 4110 numbers the experiments use).
+	// PowerConfig is the CPU power calibration; the zero value selects the
+	// shipped Xeon Silver 4110 numbers the experiments use.
 	PowerConfig = power.Config
 	// PowerResidency is one window's sleep-state account: busy, shallow-
 	// idle and parked seconds plus the mean sleep dwell that splits
@@ -454,10 +366,6 @@ type (
 	// (trapezoid rule) into joules.
 	EnergyMeter = power.Energy
 )
-
-// DefaultPowerConfig returns the shipped calibration (Xeon Silver 4110,
-// the paper's testbed CPU).
-func DefaultPowerConfig() PowerConfig { return power.DefaultConfig() }
 
 // --- analytical model ---------------------------------------------------------
 
@@ -492,7 +400,8 @@ func ExpectedVacation(ts, tl time.Duration, m int) time.Duration {
 // internal/core.Config. Policy is the only discipline selector (empty
 // means adaptive; fixed sleeps VBar). The service-rate noise, the fluid
 // slice bound and the EWMA α are constants (core.MuSigma = 0.08,
-// core.MaxSlice = 200us, sched.Alpha = 0.125).
+// core.MaxSlice = 200us, sched.Alpha = 0.125). Leave Faults nil: a fault
+// schedule goes to SimulateElastic, which builds the injector.
 type SimConfig = core.Config
 
 // SimMetrics summarises one simulated run.
@@ -558,11 +467,12 @@ func SimulateElastic(cfg SimConfig, ecfg ElasticConfig, arrivals []Traffic, dura
 // SimulatePower is SimulateElastic priced by the power plane: the run's
 // sleep-state residency (busy, shallow-idle and parked seconds out of the
 // deployment's core budget) is converted to modelled core-only joules with
-// the given calibration (zero value: DefaultPowerConfig). The same
-// calibration is handed to the controller, so the internal gauge the
-// joules objective steers on (ElasticReport.Joules/MeanWatts) and the
-// returned external account use one model. Runs are deterministic per
-// seed; the fig-power experiment is this function's sweep form.
+// the given calibration (zero value: the shipped Xeon Silver 4110, the
+// paper's testbed CPU). The same calibration is handed to the controller,
+// so the internal gauge the joules objective steers on
+// (ElasticReport.Joules/MeanWatts) and the returned external account use
+// one model. Runs are deterministic per seed; the fig-power experiment is
+// this function's sweep form.
 func SimulatePower(cfg SimConfig, ecfg ElasticConfig, pc PowerConfig, arrivals []Traffic, duration time.Duration) (SimMetrics, ElasticReport, float64) {
 	if pc == (PowerConfig{}) {
 		pc = power.DefaultConfig()
