@@ -39,14 +39,15 @@ func appsDrive(procs []apps.BurstProcessor, npkts int, seed uint64) (fwd, con, d
 	nQueues := len(procs)
 	// Pre-split the stream by RSS so each queue gets a tight dedicated
 	// producer: frame generation and the Toeplitz hash are paid up front,
-	// not on the measured path.
+	// not on the measured path. The generator's frames live as long as it
+	// does and SetFrame copies them into the mbuf, so the split keeps views.
 	perQ := make([][][]byte, nQueues)
 	gen := traffic.NewFrameGen(seed, 256, 64)
 	rss := packet.NewToeplitz(packet.DefaultRSSKey)
 	for i := 0; i < npkts; i++ {
 		frame, k := gen.Next()
 		q := rss.QueueFor(k, nQueues)
-		perQ[q] = append(perQ[q], append([]byte(nil), frame...))
+		perQ[q] = append(perQ[q], frame)
 	}
 	rings := make([]*ring.MPMC[*mbuf.Mbuf], nQueues)
 	queues := make([]metrort.RxQueue, nQueues)

@@ -1,7 +1,5 @@
 package packet
 
-import "encoding/binary"
-
 // DefaultRSSKey is the 40-byte Microsoft/Intel reference Toeplitz key that
 // DPDK and most NIC drivers ship as their default (the value ixgbe and i40e
 // program unless overridden). Using it means our RSS spreading matches what
@@ -34,22 +32,19 @@ type Toeplitz struct {
 }
 
 // NewToeplitz returns a hasher for key, precomputing the per-(position,
-// byte-value) lookup tables (40x256 uint32, built once per hasher).
+// byte-value) lookup tables (40x256 uint32, built once per hasher). Each
+// position's single-bit entries are the key windows; every other entry is
+// the entry without its lowest set bit XOR the entry of that bit.
 func NewToeplitz(key [40]byte) *Toeplitz {
 	t := &Toeplitz{key: key}
 	for pos := range t.tab {
-		var w [8]uint32 // the key windows of this position's eight bits
+		tab := &t.tab[pos]
 		for bit := 0; bit < 8; bit++ {
-			w[bit] = t.window(pos*8 + bit)
+			tab[0x80>>bit] = t.window(pos*8 + bit)
 		}
 		for v := 1; v < 256; v++ {
-			var h uint32
-			for bit := 0; bit < 8; bit++ {
-				if v&(0x80>>uint(bit)) != 0 {
-					h ^= w[bit]
-				}
-			}
-			t.tab[pos][v] = h
+			low := v & -v
+			tab[v] = tab[v^low] ^ tab[low]
 		}
 	}
 	return t
@@ -85,27 +80,27 @@ func (t *Toeplitz) window(off int) uint32 {
 
 // HashFlow computes the standard RSS IPv4 4-tuple hash over
 // (src addr, dst addr, src port, dst port), all big-endian — the hash the
-// X520/XL710 use to pick an Rx queue for TCP/UDP traffic.
+// X520/XL710 use to pick an Rx queue for TCP/UDP traffic. The tables are
+// indexed straight from the key's words, most significant byte first; the
+// address terms repeat HashAddrs' because a call costs more than the loads.
 func (t *Toeplitz) HashFlow(k FlowKey) uint32 {
-	var buf [12]byte
-	binary.BigEndian.PutUint32(buf[0:4], uint32(k.Src))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(k.Dst))
-	binary.BigEndian.PutUint16(buf[8:10], k.SrcPort)
-	binary.BigEndian.PutUint16(buf[10:12], k.DstPort)
-	return t.Hash(buf[:])
+	s, d, sp, dp := uint32(k.Src), uint32(k.Dst), k.SrcPort, k.DstPort
+	return t.tab[0][byte(s>>24)] ^ t.tab[1][byte(s>>16)] ^ t.tab[2][byte(s>>8)] ^ t.tab[3][byte(s)] ^
+		t.tab[4][byte(d>>24)] ^ t.tab[5][byte(d>>16)] ^ t.tab[6][byte(d>>8)] ^ t.tab[7][byte(d)] ^
+		t.tab[8][byte(sp>>8)] ^ t.tab[9][byte(sp)] ^ t.tab[10][byte(dp>>8)] ^ t.tab[11][byte(dp)]
 }
 
 // HashAddrs computes the 2-tuple (addresses only) variant used for
-// non-TCP/UDP IPv4 traffic.
+// non-TCP/UDP IPv4 traffic: HashFlow's first eight input bytes.
 func (t *Toeplitz) HashAddrs(k FlowKey) uint32 {
-	var buf [8]byte
-	binary.BigEndian.PutUint32(buf[0:4], uint32(k.Src))
-	binary.BigEndian.PutUint32(buf[4:8], uint32(k.Dst))
-	return t.Hash(buf[:])
+	s, d := uint32(k.Src), uint32(k.Dst)
+	return t.tab[0][byte(s>>24)] ^ t.tab[1][byte(s>>16)] ^ t.tab[2][byte(s>>8)] ^ t.tab[3][byte(s)] ^
+		t.tab[4][byte(d>>24)] ^ t.tab[5][byte(d>>16)] ^ t.tab[6][byte(d>>8)] ^ t.tab[7][byte(d)]
 }
 
 // QueueFor maps a flow to one of n queues through the low bits of the RSS
-// hash, mirroring the indirection-table default of an even spread.
+// hash, mirroring the indirection-table default of an even spread. A
+// power-of-two n reduces with a mask, which equals the modulus.
 func (t *Toeplitz) QueueFor(k FlowKey, n int) int {
 	if n <= 1 {
 		return 0
@@ -115,6 +110,9 @@ func (t *Toeplitz) QueueFor(k FlowKey, n int) int {
 		h = t.HashFlow(k)
 	} else {
 		h = t.HashAddrs(k)
+	}
+	if n&(n-1) == 0 {
+		return int(h & uint32(n-1))
 	}
 	return int(h % uint32(n))
 }

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"math"
 	"testing"
 
@@ -102,6 +103,42 @@ func TestToeplitzTableMatchesBitWalk(t *testing.T) {
 	}
 }
 
+func FuzzToeplitzQueueFor(f *testing.F) {
+	// The word-indexed HashFlow/HashAddrs and the masked QueueFor must equal
+	// the per-bit walk over the big-endian tuple, for any key and queue count.
+	for i, v := range rssVectors {
+		proto := uint8(ProtoTCP)
+		if i%2 == 1 {
+			proto = ProtoESP // QueueFor's 2-tuple path
+		}
+		f.Add(uint32(v.srcIP), uint32(v.dstIP), v.srcPort, v.dstPort, proto, uint8(3*i+1)) // n = 2, 5, 8, 11, 14
+	}
+	h := NewToeplitz(DefaultRSSKey)
+	f.Fuzz(func(t *testing.T, src, dst uint32, sport, dport uint16, proto, nb uint8) {
+		k := FlowKey{Src: Addr(src), Dst: Addr(dst), SrcPort: sport, DstPort: dport, Proto: proto}
+		n := int(nb)%64 + 1
+		var in [12]byte
+		binary.BigEndian.PutUint32(in[0:4], src)
+		binary.BigEndian.PutUint32(in[4:8], dst)
+		binary.BigEndian.PutUint16(in[8:10], sport)
+		binary.BigEndian.PutUint16(in[10:12], dport)
+		flow, addrs := h.hashSlow(in[:]), h.hashSlow(in[:8])
+		if got := h.HashFlow(k); got != flow {
+			t.Fatalf("HashFlow(%v) = %08x, bit walk %08x", k, got, flow)
+		}
+		if got := h.HashAddrs(k); got != addrs {
+			t.Fatalf("HashAddrs(%v) = %08x, bit walk %08x", k, got, addrs)
+		}
+		want := addrs
+		if proto == ProtoTCP || proto == ProtoUDP {
+			want = flow
+		}
+		if got := h.QueueFor(k, n); got != int(want%uint32(n)) {
+			t.Fatalf("QueueFor(%v, %d) = %d, want %d", k, n, got, want%uint32(n))
+		}
+	})
+}
+
 func TestQueueForSpread(t *testing.T) {
 	// Random flows must spread roughly evenly over queues — RSS would be
 	// useless otherwise, and the multiqueue experiments depend on it.
@@ -153,5 +190,21 @@ func BenchmarkToeplitzHashFlow(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = h.HashFlow(k)
+	}
+}
+
+func BenchmarkQueueFor(b *testing.B) {
+	h := NewToeplitz(DefaultRSSKey)
+	k := FlowKey{Src: AddrFrom4(66, 9, 149, 187), Dst: AddrFrom4(161, 142, 100, 80), SrcPort: 2794, DstPort: 1766, Proto: ProtoUDP}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = h.QueueFor(k, 2)
+	}
+}
+
+func BenchmarkNewToeplitz(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = NewToeplitz(DefaultRSSKey)
 	}
 }

@@ -305,39 +305,46 @@ func UnbalancedShares(heavyShare float64, queues int) []float64 {
 
 // FrameGen synthesises real frames for the runtime and app tests: a mix of
 // nFlows UDP flows with uniformly random 5-tuples, at the given frame size.
+// Each flow's frame is built once, into one flat template slice, so a draw
+// costs one random index.
 type FrameGen struct {
 	rng   *xrand.Rand
 	flows []packet.FlowKey
-	buf   []byte
-	Size  int
+	tmpl  []byte // flow i's frame is tmpl[i*size : (i+1)*size]
+	size  int
 }
 
-// NewFrameGen builds a generator over nFlows random flows.
+// NewFrameGen builds a generator over nFlows random flows. Sizes below
+// packet.MinFrame give MinFrame-byte frames.
 func NewFrameGen(seed uint64, nFlows, size int) *FrameGen {
 	r := xrand.New(seed)
-	flows := make([]packet.FlowKey, nFlows)
-	for i := range flows {
-		flows[i] = packet.FlowKey{
+	size = max(size, packet.MinFrame)
+	g := &FrameGen{rng: r, flows: make([]packet.FlowKey, nFlows), tmpl: make([]byte, nFlows*size), size: size}
+	for i := range g.flows {
+		k := packet.FlowKey{
 			Src:     packet.Addr(r.Uint64()),
 			Dst:     packet.Addr(r.Uint64()),
 			SrcPort: uint16(1024 + r.Intn(60000)),
 			DstPort: uint16(1024 + r.Intn(60000)),
 			Proto:   packet.ProtoUDP,
 		}
+		g.flows[i] = k
+		if _, err := packet.BuildUDP(g.tmpl[i*size:], size, k.Src, k.Dst, k.SrcPort, k.DstPort); err != nil {
+			panic(err) // the slot is size bytes by construction
+		}
 	}
-	return &FrameGen{rng: r, flows: flows, buf: make([]byte, 2048), Size: size}
+	return g
 }
 
 // Flows exposes the generated flow set.
 func (g *FrameGen) Flows() []packet.FlowKey { return g.flows }
 
-// Next returns the next frame (valid until the following call) and the
-// flow it belongs to.
+// Next returns the next frame and the flow it belongs to. The frame is that
+// flow's template, valid for the generator's lifetime and shared by every
+// draw of the flow: callers copy it before writing. Its capacity is capped,
+// so an append reallocates instead of overwriting the next template.
 func (g *FrameGen) Next() ([]byte, packet.FlowKey) {
-	k := g.flows[g.rng.Intn(len(g.flows))]
-	frame, err := packet.BuildUDP(g.buf, g.Size, k.Src, k.Dst, k.SrcPort, k.DstPort)
-	if err != nil {
-		panic(err) // buffer is always large enough by construction
-	}
-	return frame, k
+	i := g.rng.Intn(len(g.flows))
+	lo := i * g.size
+	return g.tmpl[lo : lo+g.size : lo+g.size], g.flows[i]
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -174,6 +175,82 @@ func TestFrameGen(t *testing.T) {
 	}
 	if len(seen) < 8 {
 		t.Errorf("only %d distinct flows in 200 draws", len(seen))
+	}
+}
+
+// refFrameGen is the generator that builds every frame on every draw: the
+// same flow set and draw sequence as FrameGen, with no templates. It is the
+// oracle the template path is checked against.
+type refFrameGen struct {
+	rng   *xrand.Rand
+	flows []packet.FlowKey
+	buf   []byte
+	size  int
+}
+
+func newRefFrameGen(seed uint64, nFlows, size int) *refFrameGen {
+	r := xrand.New(seed)
+	flows := make([]packet.FlowKey, nFlows)
+	for i := range flows {
+		flows[i] = packet.FlowKey{
+			Src:     packet.Addr(r.Uint64()),
+			Dst:     packet.Addr(r.Uint64()),
+			SrcPort: uint16(1024 + r.Intn(60000)),
+			DstPort: uint16(1024 + r.Intn(60000)),
+			Proto:   packet.ProtoUDP,
+		}
+	}
+	return &refFrameGen{rng: r, flows: flows, buf: make([]byte, 2048), size: size}
+}
+
+func (g *refFrameGen) next() ([]byte, packet.FlowKey) {
+	k := g.flows[g.rng.Intn(len(g.flows))]
+	frame, err := packet.BuildUDP(g.buf, g.size, k.Src, k.Dst, k.SrcPort, k.DstPort)
+	if err != nil {
+		panic(err)
+	}
+	return frame, k
+}
+
+func TestFrameGenMatchesPerDrawBuild(t *testing.T) {
+	for _, seed := range []uint64{1, 7, 42} {
+		for _, nFlows := range []int{1, 64, 4096} {
+			for _, size := range []int{0, 60, 64, 128, 1514} {
+				g, ref := NewFrameGen(seed, nFlows, size), newRefFrameGen(seed, nFlows, size)
+				for i := 0; i < 10000; i++ {
+					got, gk := g.Next()
+					want, wk := ref.next()
+					if gk != wk || !bytes.Equal(got, want) {
+						t.Fatalf("seed %d flows %d size %d draw %d: frame/key differ from the per-draw build (key %v, want %v)",
+							seed, nFlows, size, i, gk, wk)
+					}
+					if size < packet.MinFrame && len(got) != packet.MinFrame {
+						t.Fatalf("size %d gave a %d-byte frame, want MinFrame", size, len(got))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestFrameGenAppendLeavesTemplates(t *testing.T) {
+	g := NewFrameGen(3, 64, 64)
+	before := append([]byte(nil), g.tmpl...)
+	for i := 0; i < 1000; i++ {
+		frame, _ := g.Next()
+		frame = append(frame, 0xff, 0xff, 0xff, 0xff)
+		frame[len(frame)-1] = 0xee
+	}
+	if !bytes.Equal(g.tmpl, before) {
+		t.Fatal("appending to a returned frame overwrote a template")
+	}
+}
+
+func BenchmarkFrameGenNext(b *testing.B) {
+	g := NewFrameGen(17, 4096, 64)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g.Next()
 	}
 }
 
