@@ -31,7 +31,7 @@ func TestLeaseRetriesBeforeReportingExhaustion(t *testing.T) {
 		defer wg.Done()
 		c := pool.NewCacheSize(1)
 		for m := range handoff {
-			c.Put(m)
+			c.PutBurst([]*mbuf.Mbuf{m})
 			c.Flush()
 		}
 	}()

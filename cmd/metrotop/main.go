@@ -5,25 +5,30 @@
 //
 //	metrotop -metrics http://localhost:9090/metrics
 //	metrotop -metrics http://localhost:9090/metrics -interval 250ms
-//	metrotop -trace run.txt
+//	metrotop -trace run.json
 //	metrotop -metrics ... -once        # single frame, no ANSI (CI smoke)
 //
 // Live mode scrapes the endpoint every -interval and redraws in place; the
 // latency quantiles shown are recomputed from the scraped histogram
 // buckets with the bus's own conservative rule, so they match the
-// in-process fold exactly. Trace mode folds a flight-recorder text dump
-// (obsv.WriteText output, e.g. metropcap's future dumps or test logs) into
-// a one-shot post-mortem: per-kind counts, the final controller state and
-// the tail of the event stream.
+// in-process fold exactly. Trace mode folds a flight-recorder dump — the
+// Chrome trace JSON of obsv.WriteTrace, which metropcap -trace-out writes
+// and Perfetto loads — into a one-shot post-mortem: per-kind counts, the
+// end-of-run safe-mode and exile banners, the last decision and the tail
+// of the event stream. A file that is not such a trace exits non-zero.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -32,7 +37,7 @@ import (
 func main() {
 	var (
 		metrics  = flag.String("metrics", "", "Prometheus metrics endpoint URL to watch")
-		trace    = flag.String("trace", "", "flight-recorder text dump to fold (obsv.WriteText format)")
+		trace    = flag.String("trace", "", "flight-recorder dump to fold (the Chrome trace JSON metropcap -trace-out writes)")
 		interval = flag.Duration("interval", time.Second, "refresh period in live mode")
 		once     = flag.Bool("once", false, "render one frame without ANSI control and exit")
 		ns       = flag.String("namespace", "metronome", "metric namespace prefix of the endpoint")
@@ -126,89 +131,119 @@ func fmtNs(ns uint64) string {
 	}
 }
 
-// kvLine is one parsed flight-trace line: the event kind plus its
-// key=value fields.
-type kvLine struct {
-	kind   string
-	at     float64
-	fields map[string]string
-	raw    string
+// event is one recorder row of a flight trace: its kind, its substrate
+// timestamp in seconds and its args in dump order.
+type event struct {
+	kind string
+	at   float64
+	args []arg
 }
 
-// parseTraceText parses obsv.WriteText output. Panic stack lines (no
-// "[seq]" prefix) are folded into a count.
-func parseTraceText(r io.Reader) (lines []kvLine, panics int, err error) {
+// arg is one event argument: strings bare, any other value as its JSON.
+type arg struct{ key, val string }
+
+// get returns the value of the named argument ("" when absent).
+func (e *event) get(key string) string {
+	for _, a := range e.args {
+		if a.key == key {
+			return a.val
+		}
+	}
+	return ""
+}
+
+// parseTrace decodes an obsv.WriteTrace dump: its "ph":"i" rows are the
+// recorder's events, its "ph":"C" rows the counter tracks derived from
+// them, which the post-mortem skips. Anything that is not a JSON object
+// with a traceEvents array is an error.
+func parseTrace(r io.Reader) ([]event, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	for _, ln := range strings.Split(string(raw), "\n") {
-		ln = strings.TrimSpace(ln)
-		if ln == "" {
-			continue
-		}
-		if strings.HasPrefix(ln, "panic[") {
-			panics++
-			continue
-		}
-		if !strings.HasPrefix(ln, "[") {
-			continue // stack frame lines following a panic entry
-		}
-		close := strings.IndexByte(ln, ']')
-		if close < 0 {
-			continue
-		}
-		parts := strings.Fields(ln[close+1:])
-		if len(parts) < 2 || !strings.HasPrefix(parts[0], "t=") {
-			continue
-		}
-		at, _ := strconv.ParseFloat(strings.TrimPrefix(parts[0], "t="), 64)
-		kv := kvLine{kind: parts[1], at: at, fields: map[string]string{}, raw: ln}
-		for _, p := range parts[2:] {
-			if eq := strings.IndexByte(p, '='); eq > 0 {
-				kv.fields[p[:eq]] = p[eq+1:]
-			}
-		}
-		lines = append(lines, kv)
+	var doc struct {
+		TraceEvents []struct {
+			Name string          `json:"name"`
+			Ph   string          `json:"ph"`
+			TS   float64         `json:"ts"`
+			Args json.RawMessage `json:"args"`
+		} `json:"traceEvents"`
 	}
-	return lines, panics, nil
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		return nil, fmt.Errorf("not a flight trace: %w", err)
+	}
+	if doc.TraceEvents == nil {
+		return nil, errors.New("not a flight trace: no traceEvents array")
+	}
+	var events []event
+	for _, row := range doc.TraceEvents {
+		if row.Ph != "i" {
+			continue
+		}
+		args, err := decodeArgs(row.Args)
+		if err != nil {
+			return nil, fmt.Errorf("not a flight trace: %s event: %w", row.Name, err)
+		}
+		events = append(events, event{kind: row.Name, at: row.TS / 1e6, args: args})
+	}
+	return events, nil
 }
 
-// renderTrace folds a flight-recorder text dump into a post-mortem frame.
+// decodeArgs splits an event's args object into its fields, keeping the
+// order the dump wrote them in.
+func decodeArgs(raw json.RawMessage) ([]arg, error) {
+	if len(raw) == 0 {
+		return nil, nil
+	}
+	d := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := d.Token(); err != nil || tok != json.Delim('{') {
+		return nil, errors.New("args is not an object")
+	}
+	var args []arg
+	for d.More() {
+		key, err := d.Token()
+		if err != nil {
+			return nil, err
+		}
+		var v json.RawMessage
+		if err := d.Decode(&v); err != nil {
+			return nil, err
+		}
+		val := string(v)
+		if v[0] == '"' {
+			if err := json.Unmarshal(v, &val); err != nil {
+				return nil, err
+			}
+		}
+		args = append(args, arg{key.(string), val})
+	}
+	return args, nil
+}
+
+// renderTrace folds a flight-trace dump into a post-mortem frame.
 func renderTrace(r io.Reader) (string, error) {
-	lines, panics, err := parseTraceText(r)
+	events, err := parseTrace(r)
 	if err != nil {
 		return "", err
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "metrotop — flight-trace post-mortem (%d events", len(lines))
-	if panics > 0 {
-		fmt.Fprintf(&b, ", %d PANICS", panics)
-	}
-	b.WriteString(")\n\n")
-	if len(lines) == 0 {
-		b.WriteString("  (empty trace)\n")
-		return b.String(), nil
-	}
-
 	counts := map[string]int{}
 	order := []string{}
 	exiled := map[string]bool{}
 	safe := false
-	var lastDecision *kvLine
-	for i := range lines {
-		ln := &lines[i]
-		if counts[ln.kind] == 0 {
-			order = append(order, ln.kind)
+	var lastDecision *event
+	for i := range events {
+		e := &events[i]
+		if counts[e.kind] == 0 {
+			order = append(order, e.kind)
 		}
-		counts[ln.kind]++
-		switch ln.kind {
+		counts[e.kind]++
+		switch e.kind {
 		case "decision":
-			lastDecision = ln
+			lastDecision = e
 		case "exile":
-			exiled[ln.fields["thread"]] = true
+			exiled[e.get("thread")] = true
 		case "recover":
-			delete(exiled, ln.fields["thread"])
+			delete(exiled, e.get("thread"))
 		case "safe-enter":
 			safe = true
 		case "safe-exit":
@@ -216,6 +251,16 @@ func renderTrace(r io.Reader) (string, error) {
 		}
 	}
 
+	var b strings.Builder
+	fmt.Fprintf(&b, "metrotop — flight-trace post-mortem (%d events", len(events))
+	if n := counts["panic"]; n > 0 {
+		fmt.Fprintf(&b, ", %d PANICS", n)
+	}
+	b.WriteString(")\n\n")
+	if len(events) == 0 {
+		b.WriteString("  (empty trace)\n")
+		return b.String(), nil
+	}
 	if safe {
 		b.WriteString("  !! ENDED IN SAFE MODE — every queue's telemetry was stale\n")
 	}
@@ -224,30 +269,35 @@ func renderTrace(r io.Reader) (string, error) {
 		for id := range exiled {
 			ids = append(ids, id)
 		}
+		sort.Strings(ids)
 		fmt.Fprintf(&b, "  !! EXILED AT END: threads %s (heartbeats never resumed)\n", strings.Join(ids, ","))
 	}
 	if safe || len(exiled) > 0 {
 		b.WriteString("\n")
 	}
 
-	span := lines[len(lines)-1].at - lines[0].at
-	fmt.Fprintf(&b, "  span %.3fs  (t=%.3f .. t=%.3f)\n\n", span, lines[0].at, lines[len(lines)-1].at)
+	first, last := events[0].at, events[len(events)-1].at
+	fmt.Fprintf(&b, "  span %.3fs  (t=%.3f .. t=%.3f)\n\n", last-first, first, last)
 	for _, k := range order {
 		fmt.Fprintf(&b, "  %-11s %6d\n", k, counts[k])
 	}
-	if lastDecision != nil {
-		f := lastDecision.fields
+	if d := lastDecision; d != nil {
 		fmt.Fprintf(&b, "\n  last decision: t=%.3f M=%s (want %s) occ=%s watts=%s plan=%s flags=%s\n",
-			lastDecision.at, f["applied"], f["want"], f["occ"], f["watts"],
-			orDash(f["plan"]), orDash(f["flags"]))
+			d.at, d.get("applied"), d.get("want"), d.get("occ"), d.get("watts"),
+			orDash(d.get("plan")), orDash(d.get("flags")))
 	}
 	b.WriteString("\n  tail:\n")
-	tail := lines
-	if len(tail) > 10 {
-		tail = tail[len(tail)-10:]
-	}
-	for _, ln := range tail {
-		fmt.Fprintf(&b, "    %s\n", ln.raw)
+	tail := events[max(0, len(events)-10):]
+	for _, e := range tail {
+		fmt.Fprintf(&b, "    t=%.9f %s", e.at, e.kind)
+		for _, a := range e.args {
+			val := a.val
+			if strings.ContainsAny(val, " \t\n") {
+				val = strconv.Quote(val)
+			}
+			fmt.Fprintf(&b, " %s=%s", a.key, val)
+		}
+		b.WriteString("\n")
 	}
 	return b.String(), nil
 }

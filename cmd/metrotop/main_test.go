@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"strings"
@@ -51,30 +52,40 @@ func TestLiveFrameFromMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// traceDump is a WriteText dump of a decision, an exile, a safe-mode entry
-// and a panic.
-func traceDump(tb testing.TB) string {
+// traceDump is a WriteTrace dump of a decision with plan 3/1, an exile of
+// thread 1, a safe-mode entry and a panic with its stack.
+func traceDump(tb testing.TB) (dump string, events int) {
 	rec := obsv.NewRecorder(64)
 	rec.RecordDecision(0.001, 4, 4, 0x0103, 0.5, 0, 16, true, false, false)
 	rec.RecordExile(0.002, 1)
 	rec.RecordSafeMode(0.003, true, 4)
-	rec.RecordPanic(0.004, "boom", "stack")
-	var dump strings.Builder
-	if err := rec.WriteText(&dump); err != nil {
+	rec.RecordPanic(0.004, "boom", "goroutine 1 [running]:\nmain.tick()")
+	var b strings.Builder
+	if err := rec.WriteTrace(&b); err != nil {
 		tb.Fatal(err)
 	}
-	return dump.String()
+	return b.String(), len(rec.Events(nil))
 }
 
-// Trace mode folds a WriteText dump into the post-mortem frame.
+// Trace mode folds a WriteTrace dump — what metropcap -trace-out writes —
+// into the post-mortem frame, and refuses a file that is not a trace.
 func TestTracePostMortem(t *testing.T) {
-	out, err := renderTrace(strings.NewReader(traceDump(t)))
+	dump, _ := traceDump(t)
+	if !strings.Contains(dump, `"stack":"goroutine 1 [running]:\nmain.tick()"`) {
+		t.Errorf("dump lacks the panic's stack:\n%s", dump)
+	}
+	out, err := renderTrace(strings.NewReader(dump))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"4 events", "1 PANICS", "SAFE MODE", "EXILED AT END: threads 1", "last decision", "plan=3/1"} {
+	for _, want := range []string{"4 events", "1 PANICS", "SAFE MODE", "EXILED AT END: threads 1", "last decision", "M=4 (want 4)", "plan=3/1", "flags=resized", "msg=boom"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("post-mortem missing %q:\n%s", want, out)
+		}
+	}
+	for _, bad := range []string{"", "[1] t=0.001 decision want=4", "{}", `{"traceEvents":null}`, `{"traceEvents":[{"name":"exile","ph":"i","args":1}]}`} {
+		if _, err := renderTrace(strings.NewReader(bad)); err == nil {
+			t.Errorf("%q folded without an error", bad)
 		}
 	}
 }
@@ -136,39 +147,33 @@ func FuzzRenderScrape(f *testing.F) {
 	})
 }
 
-// FuzzParseTraceText: any text parses without panicking into lines that
-// each came from a "[seq]"-prefixed input line, re-parsing those lines
-// yields them again, and the post-mortem renders.
+// FuzzParseTraceText: no input panics the trace reader; a WriteTrace dump
+// yields the recorder's events, a truncated one is an error, anything the
+// reader accepts is valid JSON, and the post-mortem renders it.
 func FuzzParseTraceText(f *testing.F) {
-	dump := traceDump(f)
+	dump, n := traceDump(f)
 	f.Add(dump)
-	for _, cut := range []int{1, len(dump) / 3, len(dump) / 2, len(dump) - 1} {
+	for _, cut := range []int{1, len(dump) / 3, len(dump) / 2, len(dump) - 2} {
 		f.Add(dump[:cut])
 	}
-	f.Add("[1] t=\n[2]\n[3] t=0.5\n[ t=1 x\npanic[")
+	f.Add(`{"traceEvents":[{"name":"x","ph":"i","ts":1,"args":{"a":[1,{"b":null}]}},{"ph":"C"}]}`)
 	f.Fuzz(func(t *testing.T, text string) {
-		lines, panics, err := parseTraceText(strings.NewReader(text))
+		events, err := parseTrace(strings.NewReader(text))
+		switch {
+		case strings.TrimSpace(text) == strings.TrimSpace(dump):
+			if err != nil || len(events) != n {
+				t.Fatalf("the dump gave %d events (%v), want %d", len(events), err, n)
+			}
+		case strings.HasPrefix(dump, text):
+			if err == nil {
+				t.Fatalf("a truncated dump (%d of %d bytes) parsed", len(text), len(dump))
+			}
+		}
 		if err != nil {
-			t.Fatal(err)
+			return
 		}
-		if panics < 0 || len(lines)+panics > strings.Count(text, "\n")+1 {
-			t.Fatalf("%d lines and %d panics from %d input lines", len(lines), panics, strings.Count(text, "\n")+1)
-		}
-		var raws []string
-		for _, ln := range lines {
-			if !strings.HasPrefix(ln.raw, "[") || ln.kind == "" || !strings.Contains(text, ln.raw) {
-				t.Fatalf("parsed line %+v is not an event line of the input", ln)
-			}
-			raws = append(raws, ln.raw)
-		}
-		again, _, err := parseTraceText(strings.NewReader(strings.Join(raws, "\n")))
-		if err != nil || len(again) != len(lines) {
-			t.Fatalf("re-parse of %d event lines gave %d (%v)", len(lines), len(again), err)
-		}
-		for i := range again {
-			if again[i].kind != lines[i].kind || again[i].raw != lines[i].raw {
-				t.Fatalf("re-parse line %d: %+v, want %+v", i, again[i], lines[i])
-			}
+		if !json.Valid([]byte(text)) {
+			t.Fatalf("accepted invalid JSON %q", text)
 		}
 		if _, err := renderTrace(strings.NewReader(text)); err != nil {
 			t.Fatal(err)

@@ -103,7 +103,7 @@ func main() {
 
 	fmt.Printf("routed:    %d (forwarded by LPM)\n", routed.Load())
 	fmt.Printf("dropped:   %d (no route / expired)\n", dropped.Load())
-	fmt.Printf("fib:       %d rules, %d tbl-driven lookups\n", fwd.Table.Rules(), fwd.Forwarded+fwd.NoRoute)
+	fmt.Printf("fib:       %d tbl-driven lookups\n", fwd.Forwarded+fwd.NoRoute)
 	for q := 0; q < nQueues; q++ {
 		fmt.Printf("queue %d:   rho=%.3f TS=%v\n", q, runner.Rho(q), runner.TS(q).Round(10*time.Microsecond))
 	}

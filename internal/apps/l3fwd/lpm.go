@@ -31,7 +31,6 @@ const (
 var (
 	ErrBadPrefix   = errors.New("l3fwd: prefix length must be 0..32")
 	ErrNoTbl8      = errors.New("l3fwd: out of tbl8 groups")
-	ErrNoRoute     = errors.New("l3fwd: no route")
 	ErrHopTooLarge = errors.New("l3fwd: next hop exceeds 14 bits")
 )
 
@@ -46,25 +45,11 @@ type LPM struct {
 	// insertion order.
 	tbl   []uint16
 	depth []uint8
-	rules map[ruleKey]uint16
-}
-
-type ruleKey struct {
-	prefix packet.Addr
-	length int
 }
 
 // NewLPM allocates an empty table: the root and no groups.
 func NewLPM() *LPM {
-	l := &LPM{rules: make(map[ruleKey]uint16)}
-	l.reset()
-	return l
-}
-
-// reset drops every installed entry and releases every group.
-func (l *LPM) reset() {
-	l.tbl = make([]uint16, rootSize)
-	l.depth = make([]uint8, rootSize)
+	return &LPM{tbl: make([]uint16, rootSize), depth: make([]uint8, rootSize)}
 }
 
 func mask(length int) packet.Addr {
@@ -84,12 +69,7 @@ func (l *LPM) Add(prefix packet.Addr, length int, hop uint16) error {
 	if hop > valueMask {
 		return ErrHopTooLarge
 	}
-	prefix &= mask(length)
-	if err := l.install(prefix, length, hop); err != nil {
-		return err
-	}
-	l.rules[ruleKey{prefix, length}] = hop
-	return nil
+	return l.install(prefix&mask(length), length, hop)
 }
 
 // groupBase returns the index in tbl of the first entry of the group an
@@ -157,31 +137,6 @@ func (l *LPM) fill(first, count int, depth uint8, hop uint16) {
 	}
 }
 
-// Delete removes prefix/length and restores coverage from the next-best
-// remaining rules by rebuilding the trie from the rule set, which also
-// releases the groups nothing needs any more. That is O(rules x range),
-// microseconds for tables that fit a cache; deletions are control-plane
-// rare.
-func (l *LPM) Delete(prefix packet.Addr, length int) error {
-	if length < 0 || length > 32 {
-		return ErrBadPrefix
-	}
-	prefix &= mask(length)
-	if _, ok := l.rules[ruleKey{prefix, length}]; !ok {
-		return ErrNoRoute
-	}
-	delete(l.rules, ruleKey{prefix, length})
-	l.reset()
-	for k, hop := range l.rules {
-		// Cannot fail: the groups a rule set needs do not depend on
-		// insertion order, and this set fitted before.
-		if err := l.install(k.prefix, k.length, hop); err != nil {
-			panic("l3fwd: rebuild: " + err.Error())
-		}
-	}
-	return nil
-}
-
 // Lookup resolves the next hop for ip with at most three dependent loads.
 func (l *LPM) Lookup(ip packet.Addr) (uint16, bool) {
 	e := l.tbl[uint32(ip)>>16]
@@ -193,6 +148,3 @@ func (l *LPM) Lookup(ip packet.Addr) (uint16, bool) {
 	}
 	return e & valueMask, e&flagValid != 0
 }
-
-// Rules returns the number of installed rules.
-func (l *LPM) Rules() int { return len(l.rules) }

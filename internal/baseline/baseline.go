@@ -212,18 +212,6 @@ func XDP(cfg XDPConfig, lambda float64, cores int) Result {
 	}
 }
 
-// BurstAdaptationLoss estimates the packets XDP loses when a line-rate
-// burst arrives while it is deployed on a single queue/core and must be
-// manually re-scaled with ethtool (Sec. V-D: "some tens of thousands").
-func BurstAdaptationLoss(cfg XDPConfig, burstPPS float64, reconfigDelay float64) float64 {
-	muCore := 1 / cfg.CostPerPkt
-	excess := burstPPS - muCore
-	if excess <= 0 {
-		return 0
-	}
-	return excess * reconfigDelay
-}
-
 // synthBox synthesises a five-number summary from a mean and standard
 // deviation using normal-order statistics — the baselines are closed-form,
 // but the figures want boxplots comparable to Metronome's sampled ones.

@@ -110,19 +110,6 @@ func TestXDPLatencyAboveDPDK(t *testing.T) {
 	}
 }
 
-func TestBurstAdaptationLoss(t *testing.T) {
-	cfg := DefaultXDP()
-	// A 14.88 Mpps burst against one core with a 5 ms operator reaction:
-	// tens of thousands of packets, as the paper observed.
-	lost := BurstAdaptationLoss(cfg, 14.88e6, 5e-3)
-	if lost < 10e3 || lost > 100e3 {
-		t.Errorf("burst loss = %v packets", lost)
-	}
-	if BurstAdaptationLoss(cfg, 1e6, 5e-3) != 0 {
-		t.Error("sub-capacity burst should lose nothing")
-	}
-}
-
 func TestSynthBoxSane(t *testing.T) {
 	b := synthBox(10e-6, 1e-6, 7, 0)
 	if !(b.Min < b.Q1 && b.Q1 < b.Median && b.Median < b.Q3 && b.Q3 < b.Max) {

@@ -213,7 +213,7 @@ func TestChaosSoakSim(t *testing.T) {
 	}
 	if t.Failed() {
 		var dump strings.Builder
-		if err := rec.WriteText(&dump); err == nil {
+		if err := rec.WriteTrace(&dump); err == nil {
 			t.Logf("flight recorder (last %d of %d events):\n%s",
 				len(rec.Events(nil)), rec.Total(), dump.String())
 		}

@@ -104,7 +104,7 @@ func traceTable(id, title string, rec *obsv.Recorder) *Table {
 	}
 	notes := []string{
 		fmt.Sprintf("flight recorder: %d events survive of %d recorded (ring capacity %d); timestamps are substrate run-clock seconds rendered in ms (the ring resets at the warm-up boundary, the clock does not)", len(events), rec.Total(), rec.Cap()),
-		"detail decodes the last occurrence of each kind; dump the full ring with obsv.WriteText / WriteTrace (Perfetto) outside the harness",
+		"detail decodes the last occurrence of each kind; dump the full ring with obsv.WriteTrace (Perfetto; metrotop -trace folds it) outside the harness",
 	}
 	if d := rec.Dropped(); d > 0 {
 		notes = append(notes, fmt.Sprintf("ring wrapped: the oldest %d events were overwritten and are absent from the counts", d))

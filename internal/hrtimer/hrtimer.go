@@ -103,18 +103,6 @@ func (m *Model) Actual(req float64) float64 {
 	return d
 }
 
-// Mean returns the expected wake-up latency for a request of req seconds —
-// the deterministic counterpart of Actual, used by closed-form baselines.
-func (m *Model) Mean(req float64) float64 {
-	if m.Service == HRSleepPatched && req < 1e-6 {
-		return 50e-9
-	}
-	if req < 0 {
-		req = 0
-	}
-	return m.p.gain*req + m.p.base
-}
-
 // --- real-time side -------------------------------------------------------
 
 // Sleeper is the contract the real-time Metronome runtime sleeps through.

@@ -151,13 +151,6 @@ func (c *Cache) PutBurst(ms []*Mbuf) {
 	}
 }
 
-// Put returns one buffer — the single-element cached path.
-func (c *Cache) Put(m *Mbuf) {
-	var one [1]*Mbuf
-	one[0] = m
-	c.PutBurst(one[:])
-}
-
 // spill bulk-returns the k most recently cached buffers to the ring.
 func (c *Cache) spill(k int) {
 	cut := len(c.buf) - k

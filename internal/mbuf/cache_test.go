@@ -87,7 +87,7 @@ func TestCacheSpillsAtThreshold(t *testing.T) {
 	// Return one at a time: the stack absorbs all 8 without spilling (below
 	// the 2*keep threshold), so the ring stays empty until Flush.
 	for _, m := range dst {
-		c.Put(m)
+		c.PutBurst([]*Mbuf{m})
 	}
 	if p.Available() != 0 {
 		t.Fatalf("cache spilled early: available = %d", p.Available())
@@ -106,13 +106,13 @@ func TestCacheDoubleFreeAcrossCachesPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Put(m)
+	a.PutBurst([]*Mbuf{m})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("double free across caches did not panic")
 		}
 	}()
-	b.Put(m)
+	b.PutBurst([]*Mbuf{m})
 }
 
 func TestCachePutBurstForeignPoolPanics(t *testing.T) {
@@ -128,7 +128,7 @@ func TestCachePutBurstForeignPoolPanics(t *testing.T) {
 			t.Fatal("foreign pool's buffer did not panic")
 		}
 	}()
-	c.Put(m)
+	c.PutBurst([]*Mbuf{m})
 }
 
 func TestRecyclerRoutesMixedBursts(t *testing.T) {

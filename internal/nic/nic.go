@@ -174,9 +174,6 @@ func (q *Queue) SetDark(t float64, dark bool) {
 	q.dark = dark
 }
 
-// Dark reports whether the queue is blacked out.
-func (q *Queue) Dark() bool { return q.dark }
-
 // BeginService closes the current vacation period at time t and starts a
 // busy period drained at mu packets/second. It returns the packets found
 // waiting (the paper's N_V). On a dark queue it returns zero — the poll
@@ -404,15 +401,6 @@ func (q *Queue) Reset(t float64) {
 // cycle phase the prober happens to run in. The integral survives Reset
 // (observers difference it, so the epoch does not matter).
 func (q *Queue) OccIntegral() float64 { return q.occInt }
-
-// LossRate returns the drop fraction of offered packets.
-func (q *Queue) LossRate() float64 {
-	offered := q.RxPackets + q.Drops
-	if offered == 0 {
-		return 0
-	}
-	return float64(q.Drops) / float64(offered)
-}
 
 // Fill seeds the queue with n packets at time t (test hook and burst
 // injection).

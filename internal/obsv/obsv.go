@@ -13,8 +13,8 @@
 // recorded traces are byte-identical at any experiment-harness
 // parallelism; on the live substrate writers may race and readers resolve
 // the race per slot (a slot being overwritten mid-read is skipped, never
-// torn). Dump a recording with WriteText (line-per-event key=value text)
-// or WriteTrace (Chrome trace-event JSON, loadable in Perfetto).
+// torn). Dump a recording with WriteTrace: Chrome trace-event JSON, which
+// Perfetto loads and metrotop -trace folds into a post-mortem.
 //
 // The package deliberately sits below the control planes in the import
 // DAG: internal/elastic, internal/core and internal/runtime depend on it
@@ -192,7 +192,7 @@ const DefaultCapacity = 4096
 // cost a handful of relaxed atomic stores, allocate nothing, and are
 // no-ops on a nil receiver — call sites wire a recorder with one field
 // and pay one predictable branch when none is attached. Readers
-// (Events, WriteText, WriteTrace) may run concurrently with writers;
+// (Events, WriteTrace) may run concurrently with writers;
 // entries overwritten mid-read are skipped, never torn.
 type Recorder struct {
 	pos   atomic.Uint64

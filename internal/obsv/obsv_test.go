@@ -171,8 +171,9 @@ func TestRecorderConcurrent(t *testing.T) {
 	}
 }
 
-// Text and Chrome-trace dumps are deterministic for a quiescent recorder,
-// and the trace is valid JSON with the expected event count.
+// The Chrome-trace dump is deterministic for a quiescent recorder, valid
+// JSON with the expected rows, and carries each kind's fields, the panic's
+// message and stack included.
 func TestTraceDumpsDeterministic(t *testing.T) {
 	r := NewRecorder(64)
 	r.RecordDecision(0.001, 3, 3, 0x0102, 0.25, 0.0, 9.5, false, false, false)
@@ -180,22 +181,6 @@ func TestTraceDumpsDeterministic(t *testing.T) {
 	r.RecordExile(0.003, 1)
 	r.RecordFault(0.004, 2, 0)
 	r.RecordPanic(0.005, `quoted "msg"`, "line1\nline2")
-
-	var a, b strings.Builder
-	if err := r.WriteText(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Error("WriteText is not deterministic")
-	}
-	for _, want := range []string{"decision want=3 applied=3 plan=2/1", "placement total=4 plan=2/2", "exile thread=1", "panic[0] quoted"} {
-		if !strings.Contains(a.String(), want) {
-			t.Errorf("text dump missing %q:\n%s", want, a.String())
-		}
-	}
 
 	var ta, tb strings.Builder
 	if err := r.WriteTrace(&ta); err != nil {
@@ -210,12 +195,18 @@ func TestTraceDumpsDeterministic(t *testing.T) {
 	if !json.Valid([]byte(ta.String())) {
 		t.Fatalf("trace is not valid JSON:\n%s", ta.String())
 	}
+	for _, want := range []string{`"want":3,"applied":3`, `"plan":"2/1"`, `"total":4,"plan":"2/2"`, `"thread":1`} {
+		if !strings.Contains(ta.String(), want) {
+			t.Errorf("trace missing %s:\n%s", want, ta.String())
+		}
+	}
 	var trace struct {
 		DisplayTimeUnit string `json:"displayTimeUnit"`
 		TraceEvents     []struct {
-			Name string  `json:"name"`
-			Ph   string  `json:"ph"`
-			TS   float64 `json:"ts"`
+			Name string         `json:"name"`
+			Ph   string         `json:"ph"`
+			TS   float64        `json:"ts"`
+			Args map[string]any `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal([]byte(ta.String()), &trace); err != nil {
@@ -223,7 +214,11 @@ func TestTraceDumpsDeterministic(t *testing.T) {
 	}
 	// 5 instants + 3 counters (decision: 2, placement: 1).
 	if len(trace.TraceEvents) != 8 {
-		t.Errorf("trace holds %d events, want 8", len(trace.TraceEvents))
+		t.Fatalf("trace holds %d events, want 8", len(trace.TraceEvents))
+	}
+	p := trace.TraceEvents[len(trace.TraceEvents)-1]
+	if p.Name != "panic" || p.Args["msg"] != `quoted "msg"` || p.Args["stack"] != "line1\nline2" {
+		t.Errorf("panic row = %+v, want its message and stack", p)
 	}
 }
 

@@ -7,17 +7,11 @@ import (
 	"metronome/internal/faults"
 )
 
-// Trace serialisation. Both writers snapshot the ring once and render
+// Trace serialisation. WriteTrace snapshots the ring once and renders
 // every surviving event oldest-first with fixed field order and
 // shortest-round-trip float formatting, so a recording rendered twice —
 // or produced by the same seeded simulation at any experiment-harness
 // parallelism — is byte-identical.
-
-// appendAt renders a substrate timestamp with fixed nanosecond precision
-// (sortable, deterministic, no exponent form).
-func appendAt(dst []byte, at float64) []byte {
-	return strconv.AppendFloat(dst, at, 'f', 9, 64)
-}
 
 // appendF renders a gauge with the shortest representation that
 // round-trips — deterministic across runs and platforms.
@@ -65,101 +59,6 @@ func appendFlags(dst []byte, flags uint8) []byte {
 	return dst
 }
 
-// AppendText renders the event as one key=value text line (no trailing
-// newline), appending to dst — the WriteText building block, exported so
-// the decision-trace panels and metrotop can render single events.
-func (e Event) AppendText(dst []byte) []byte {
-	dst = append(dst, "t="...)
-	dst = appendAt(dst, e.At)
-	dst = append(dst, ' ')
-	dst = append(dst, e.Kind.String()...)
-	switch e.Kind {
-	case EvDecision:
-		dst = append(dst, " want="...)
-		dst = strconv.AppendInt(dst, int64(e.Want()), 10)
-		dst = append(dst, " applied="...)
-		dst = strconv.AppendInt(dst, int64(e.Applied()), 10)
-		if e.B != 0 {
-			dst = append(dst, " plan="...)
-			dst = appendPlan(dst, e.B)
-		}
-		dst = append(dst, " occ="...)
-		dst = appendF(dst, e.F1)
-		dst = append(dst, " ff="...)
-		dst = appendF(dst, e.F2)
-		dst = append(dst, " watts="...)
-		dst = appendF(dst, e.F3)
-		dst = append(dst, " flags="...)
-		dst = appendFlags(dst, e.Flags)
-	case EvPlacement:
-		dst = append(dst, " total="...)
-		dst = strconv.AppendInt(dst, e.A, 10)
-		if e.B != 0 {
-			dst = append(dst, " plan="...)
-			dst = appendPlan(dst, e.B)
-		}
-	case EvExile, EvRecover:
-		dst = append(dst, " thread="...)
-		dst = strconv.AppendInt(dst, e.A, 10)
-	case EvSafeEnter, EvSafeExit:
-		dst = append(dst, " team="...)
-		dst = strconv.AppendInt(dst, e.A, 10)
-	case EvDarkLoss:
-		dst = append(dst, " queue="...)
-		dst = strconv.AppendInt(dst, e.A, 10)
-		dst = append(dst, " drops="...)
-		dst = strconv.AppendUint(dst, e.B, 10)
-	case EvFault:
-		dst = append(dst, " kind="...)
-		dst = append(dst, faults.Kind(e.B).String()...)
-		dst = append(dst, " target="...)
-		dst = strconv.AppendInt(dst, e.A, 10)
-	case EvPanic:
-		dst = append(dst, " log="...)
-		dst = strconv.AppendInt(dst, e.A, 10)
-	}
-	return dst
-}
-
-// String renders the event as its text-trace line (convenience for test
-// output and panels; allocates, so not for the record path).
-func (e Event) String() string { return string(e.AppendText(nil)) }
-
-// WriteText dumps the recording as line-per-event key=value text:
-// sequence number, substrate timestamp, kind, then kind-specific fields.
-// Panic log entries follow the events. The output is deterministic for a
-// quiescent recorder.
-func (r *Recorder) WriteText(w io.Writer) error {
-	var buf []byte
-	for _, e := range r.Events(nil) {
-		buf = buf[:0]
-		buf = append(buf, '[')
-		buf = strconv.AppendUint(buf, e.Seq, 10)
-		buf = append(buf, "] "...)
-		buf = e.AppendText(buf)
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	for i, p := range r.PanicLog() {
-		buf = buf[:0]
-		buf = append(buf, "panic["...)
-		buf = strconv.AppendInt(buf, int64(i), 10)
-		buf = append(buf, "] "...)
-		buf = append(buf, p.Msg...)
-		buf = append(buf, '\n')
-		buf = append(buf, p.Stack...)
-		if len(p.Stack) > 0 && p.Stack[len(p.Stack)-1] != '\n' {
-			buf = append(buf, '\n')
-		}
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // appendJSONString appends s as a JSON string literal. strconv.Quote is
 // not used because it emits \x escapes, which JSON does not allow.
 func appendJSONString(dst []byte, s string) []byte {
@@ -191,11 +90,12 @@ func appendTraceTS(dst []byte, at float64) []byte {
 }
 
 // WriteTrace dumps the recording as Chrome trace-event JSON (loadable in
-// Perfetto and chrome://tracing): every event becomes a global instant
-// event on the "control" track, and decisions/placements additionally
-// emit "team size" and "worst occupancy" counter tracks. Deterministic
-// for a quiescent recorder — the harness byte-compares traces across
-// -parallel settings.
+// Perfetto and chrome://tracing, and folded by metrotop -trace): every
+// event becomes a global instant event ("ph":"i") whose args carry its
+// sequence number and kind-specific fields, a panic's message and stack
+// included, and decisions/placements additionally emit "team size" and
+// "worst occupancy" counter rows ("ph":"C"). Deterministic for a quiescent
+// recorder — the harness byte-compares traces across -parallel settings.
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	events := r.Events(nil)
 	panics := r.PanicLog()
@@ -264,6 +164,8 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 			if i := int(e.A); i >= 0 && i < len(panics) {
 				buf = append(buf, `,"msg":`...)
 				buf = appendJSONString(buf, panics[i].Msg)
+				buf = append(buf, `,"stack":`...)
+				buf = appendJSONString(buf, panics[i].Stack)
 			}
 		}
 		buf = append(buf, "}}"...)

@@ -18,21 +18,20 @@ var DefaultRSSKey = [40]byte{
 // at bit offset i.
 //
 // Hashing runs on lookup tables precomputed by NewToeplitz — one 256-entry
-// table per input byte position, each entry the XOR of the key windows of
-// that byte value's set bits — so hashing a 12-byte RSS tuple costs 12
-// table loads and XORs instead of a 96-iteration bit walk. GF(2) linearity
-// makes the tables exact; the bit-walk reference implementation is the
-// equivalence-test oracle (hashSlow in toeplitz_test.go).
+// table per byte position of the 12-byte RSS IPv4 tuple, each entry the XOR
+// of the key windows of that byte value's set bits — so hashing a tuple
+// costs 12 table loads and XORs instead of a 96-iteration bit walk. GF(2)
+// linearity makes the tables exact; the bit-walk reference implementation
+// is the equivalence-test oracle (hashSlow in toeplitz_test.go).
 type Toeplitz struct {
 	key [40]byte
-	// tab[i][v] is the hash contribution of byte value v at input byte
-	// position i. Positions past the key (i >= 40) contribute zero by the
-	// zero-padding rule, so 40 positions cover every input length.
-	tab [40][256]uint32
+	// tab[i][v] is the hash contribution of byte value v at tuple byte
+	// position i.
+	tab [12][256]uint32
 }
 
 // NewToeplitz returns a hasher for key, precomputing the per-(position,
-// byte-value) lookup tables (40x256 uint32, built once per hasher). Each
+// byte-value) lookup tables (12x256 uint32, built once per hasher). Each
 // position's single-bit entries are the key windows; every other entry is
 // the entry without its lowest set bit XOR the entry of that bit.
 func NewToeplitz(key [40]byte) *Toeplitz {
@@ -48,19 +47,6 @@ func NewToeplitz(key [40]byte) *Toeplitz {
 		}
 	}
 	return t
-}
-
-// Hash computes the raw Toeplitz hash of input. With a 40-byte key the
-// meaningful input length is at most 36 bytes; RSS IPv4 tuples are 8 or 12.
-func (t *Toeplitz) Hash(input []byte) uint32 {
-	if len(input) > len(t.tab) {
-		input = input[:len(t.tab)] // tail positions hash against pure padding: zero
-	}
-	var result uint32
-	for i, b := range input {
-		result ^= t.tab[i][b]
-	}
-	return result
 }
 
 // window returns the 32 bits of the key starting at bit offset off,

@@ -41,9 +41,14 @@ func TestToeplitzSpecVectors(t *testing.T) {
 
 func TestToeplitzZeroInput(t *testing.T) {
 	h := NewToeplitz(DefaultRSSKey)
-	if got := h.Hash(make([]byte, 12)); got != 0 {
-		t.Fatalf("all-zero input hashed to %08x, want 0", got)
+	if got := h.HashFlow(FlowKey{}); got != 0 {
+		t.Fatalf("all-zero tuple hashed to %08x, want 0", got)
 	}
+}
+
+// randKey draws a flow key with every tuple field random.
+func randKey(r *xrand.Rand) FlowKey {
+	return FlowKey{Src: Addr(r.Uint64()), Dst: Addr(r.Uint64()), SrcPort: uint16(r.Uint64()), DstPort: uint16(r.Uint64()), Proto: ProtoTCP}
 }
 
 func TestToeplitzLinearity(t *testing.T) {
@@ -51,15 +56,9 @@ func TestToeplitzLinearity(t *testing.T) {
 	h := NewToeplitz(DefaultRSSKey)
 	r := xrand.New(9)
 	for trial := 0; trial < 50; trial++ {
-		a := make([]byte, 12)
-		b := make([]byte, 12)
-		x := make([]byte, 12)
-		for i := range a {
-			a[i] = byte(r.Intn(256))
-			b[i] = byte(r.Intn(256))
-			x[i] = a[i] ^ b[i]
-		}
-		if h.Hash(x) != h.Hash(a)^h.Hash(b) {
+		a, b := randKey(r), randKey(r)
+		x := FlowKey{Src: a.Src ^ b.Src, Dst: a.Dst ^ b.Dst, SrcPort: a.SrcPort ^ b.SrcPort, DstPort: a.DstPort ^ b.DstPort}
+		if h.HashFlow(x) != h.HashFlow(a)^h.HashFlow(b) {
 			t.Fatalf("linearity violated on trial %d", trial)
 		}
 	}
@@ -79,11 +78,21 @@ func (t *Toeplitz) hashSlow(input []byte) uint32 {
 	return result
 }
 
+// tuple renders k's RSS input: src addr, dst addr, src port, dst port, all
+// big-endian.
+func tuple(k FlowKey) []byte {
+	in := make([]byte, 12)
+	binary.BigEndian.PutUint32(in[0:4], uint32(k.Src))
+	binary.BigEndian.PutUint32(in[4:8], uint32(k.Dst))
+	binary.BigEndian.PutUint16(in[8:10], k.SrcPort)
+	binary.BigEndian.PutUint16(in[10:12], k.DstPort)
+	return in
+}
+
 func TestToeplitzTableMatchesBitWalk(t *testing.T) {
-	// The lookup-table Hash must agree bit-for-bit with the per-bit
-	// reference walk of the RSS spec, over random keys and every input
-	// length from empty through past-the-key (len 45 > 40 exercises the
-	// truncation to zero-contribution positions).
+	// The lookup tables must agree bit-for-bit with the per-bit reference
+	// walk of the RSS spec over random keys and tuples, for both the 4-tuple
+	// and the 2-tuple.
 	r := xrand.New(17)
 	for trial := 0; trial < 20; trial++ {
 		var key [40]byte
@@ -91,13 +100,14 @@ func TestToeplitzTableMatchesBitWalk(t *testing.T) {
 			key[i] = byte(r.Intn(256))
 		}
 		h := NewToeplitz(key)
-		for length := 0; length <= 45; length++ {
-			in := make([]byte, length)
-			for i := range in {
-				in[i] = byte(r.Intn(256))
+		for i := 0; i < 50; i++ {
+			k := randKey(r)
+			in := tuple(k)
+			if got, want := h.HashFlow(k), h.hashSlow(in); got != want {
+				t.Fatalf("trial %d: HashFlow(%v) = %08x, bit walk %08x", trial, k, got, want)
 			}
-			if got, want := h.Hash(in), h.hashSlow(in); got != want {
-				t.Fatalf("trial %d len %d: table hash %08x, bit-walk %08x", trial, length, got, want)
+			if got, want := h.HashAddrs(k), h.hashSlow(in[:8]); got != want {
+				t.Fatalf("trial %d: HashAddrs(%v) = %08x, bit walk %08x", trial, k, got, want)
 			}
 		}
 	}
@@ -117,12 +127,8 @@ func FuzzToeplitzQueueFor(f *testing.F) {
 	f.Fuzz(func(t *testing.T, src, dst uint32, sport, dport uint16, proto, nb uint8) {
 		k := FlowKey{Src: Addr(src), Dst: Addr(dst), SrcPort: sport, DstPort: dport, Proto: proto}
 		n := int(nb)%64 + 1
-		var in [12]byte
-		binary.BigEndian.PutUint32(in[0:4], src)
-		binary.BigEndian.PutUint32(in[4:8], dst)
-		binary.BigEndian.PutUint16(in[8:10], sport)
-		binary.BigEndian.PutUint16(in[10:12], dport)
-		flow, addrs := h.hashSlow(in[:]), h.hashSlow(in[:8])
+		in := tuple(k)
+		flow, addrs := h.hashSlow(in), h.hashSlow(in[:8])
 		if got := h.HashFlow(k); got != flow {
 			t.Fatalf("HashFlow(%v) = %08x, bit walk %08x", k, got, flow)
 		}

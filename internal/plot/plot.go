@@ -1,6 +1,6 @@
 // Package plot renders small ASCII charts for the experiment harness: the
-// time-series of Fig 9, the densities of Fig 4 and the grouped bars of the
-// CPU figures read much better as pictures, even in a terminal.
+// time-series of Fig 9 and the densities of Fig 4 read much better as
+// pictures, even in a terminal.
 package plot
 
 import (
@@ -101,58 +101,4 @@ func (s Series) Render(w io.Writer) {
 		legend += fmt.Sprintf("   (x: %s)", s.XLabel)
 	}
 	fmt.Fprintf(w, "%10s  %s\n", "", legend)
-}
-
-// Bars renders labelled horizontal bars scaled to the maximum value —
-// the grouped-bar figures (Fig 10b, Fig 16) in one line per entry.
-type Bars struct {
-	Title string
-	Unit  string
-	Width int
-	Rows  []BarRow
-}
-
-// BarRow is one bar.
-type BarRow struct {
-	Label string
-	Value float64
-}
-
-// Render draws the bars.
-func (b Bars) Render(w io.Writer) {
-	width := b.Width
-	if width <= 0 {
-		width = 50
-	}
-	if b.Title != "" {
-		fmt.Fprintln(w, b.Title)
-	}
-	maxV := 0.0
-	labelW := 0
-	for _, r := range b.Rows {
-		if r.Value > maxV {
-			maxV = r.Value
-		}
-		if len(r.Label) > labelW {
-			labelW = len(r.Label)
-		}
-	}
-	if maxV == 0 {
-		maxV = 1
-	}
-	for _, r := range b.Rows {
-		n := int(r.Value / maxV * float64(width))
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(w, "%-*s |%s %.1f%s\n", labelW, r.Label,
-			strings.Repeat("#", n), r.Value, b.Unit)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -63,40 +63,3 @@ func TestSeriesConstant(t *testing.T) {
 		t.Fatal("no output")
 	}
 }
-
-func TestBars(t *testing.T) {
-	var buf bytes.Buffer
-	Bars{
-		Title: "cpu",
-		Unit:  "%",
-		Width: 10,
-		Rows: []BarRow{
-			{"static", 100},
-			{"metronome", 55},
-			{"idle", 0},
-		},
-	}.Render(&buf)
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d:\n%s", len(lines), out)
-	}
-	// static has the longest bar.
-	if strings.Count(lines[1], "#") != 10 {
-		t.Errorf("full bar = %q", lines[1])
-	}
-	if strings.Count(lines[2], "#") >= 10 || strings.Count(lines[2], "#") == 0 {
-		t.Errorf("mid bar = %q", lines[2])
-	}
-	if strings.Count(lines[3], "#") != 0 {
-		t.Errorf("zero bar = %q", lines[3])
-	}
-}
-
-func TestBarsAllZero(t *testing.T) {
-	var buf bytes.Buffer
-	Bars{Rows: []BarRow{{"a", 0}}}.Render(&buf)
-	if !strings.Contains(buf.String(), "a") {
-		t.Fatal("label missing")
-	}
-}

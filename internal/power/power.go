@@ -118,19 +118,6 @@ func (c Config) SteadyFreq(g Governor, utilAtFMax float64) float64 {
 	return math.Min(c.FMax, math.Max(c.FMin, f))
 }
 
-// UtilAt converts a utilisation measured at FMax into the utilisation at
-// frequency f (clamped to 1: the core saturates).
-func (c Config) UtilAt(utilAtFMax, f float64) float64 {
-	if f <= 0 {
-		return 1
-	}
-	u := utilAtFMax * c.FMax / f
-	if u > 1 {
-		return 1
-	}
-	return u
-}
-
 // CoreState is the operating point of one core over a measurement window.
 type CoreState struct {
 	Freq float64 // GHz
@@ -166,17 +153,6 @@ func (c Config) PackagePower(states []CoreState) float64 {
 		p += c.IdleCore
 	}
 	return p
-}
-
-// SteadyState resolves the governor fixed point for a set of per-core
-// utilisations measured at FMax and returns the resulting core states.
-func (c Config) SteadyState(g Governor, utilAtFMax []float64) []CoreState {
-	out := make([]CoreState, len(utilAtFMax))
-	for i, u := range utilAtFMax {
-		f := c.SteadyFreq(g, u)
-		out[i] = CoreState{Freq: f, Util: c.UtilAt(u, f)}
-	}
-	return out
 }
 
 // SleepSplit returns the fraction of idle time spent in the deep C-state
@@ -234,15 +210,6 @@ func (c Config) TeamEnergy(r Residency) float64 {
 	return r.BusySeconds*busyW +
 		r.IdleSeconds*c.IdlePower(r.MeanDwell) +
 		r.ParkedSeconds*c.DeepIdle
-}
-
-// TeamPower returns the modelled core-only average power (W) of a team
-// residency over a window of wall seconds (0 when wall <= 0).
-func (c Config) TeamPower(r Residency, wall float64) float64 {
-	if wall <= 0 {
-		return 0
-	}
-	return c.TeamEnergy(r) / wall
 }
 
 // TeamWatts returns the modelled core-only power (W) of m provisioned

@@ -111,7 +111,7 @@ func TestChaosSoakLive(t *testing.T) {
 
 	dump := func() {
 		var b strings.Builder
-		if err := rec.WriteText(&b); err == nil {
+		if err := rec.WriteTrace(&b); err == nil {
 			t.Logf("flight recorder (last %d of %d events):\n%s",
 				len(rec.Events(nil)), rec.Total(), b.String())
 		}

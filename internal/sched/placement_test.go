@@ -3,6 +3,8 @@ package sched
 import (
 	"math"
 	"testing"
+
+	"metronome/internal/model"
 )
 
 func TestBalancedPlacementMatchesLegacyRoundRobin(t *testing.T) {
@@ -130,8 +132,9 @@ func TestSetPlacementKeepsClaimedTurns(t *testing.T) {
 func TestUniformVacInvertsEq6(t *testing.T) {
 	cfg := Config{VBar: 10e-6, TL: 500e-6, M: 3, N: 1}
 	p := NewUniformVac(cfg)
-	// The pinned timeout must reproduce VBar through the forward eq. (6).
-	if ev := p.EVAtHighLoad(); math.Abs(ev-cfg.VBar) > 1e-12 {
+	// The pinned timeout must reproduce VBar through the forward eq. (6),
+	// at k = M/N = 3.
+	if ev := model.EVHighLoad(p.TS(0), cfg.TL, 3); math.Abs(ev-cfg.VBar) > 1e-12 {
 		t.Fatalf("E[V] at high load = %v, want %v", ev, cfg.VBar)
 	}
 	// No load adaptivity: heavy and idle cycles leave TS untouched.
@@ -149,7 +152,7 @@ func TestUniformVacInvertsEq6(t *testing.T) {
 	if p.TS(0) == ts0 {
 		t.Fatal("TS did not re-evaluate on resize")
 	}
-	if ev := p.EVAtHighLoad(); math.Abs(ev-cfg.VBar) > 1e-12 {
+	if ev := model.EVHighLoad(p.TS(0), cfg.TL, 6); math.Abs(ev-cfg.VBar) > 1e-12 {
 		t.Fatalf("E[V] after resize = %v, want %v", ev, cfg.VBar)
 	}
 }

@@ -1,10 +1,6 @@
 package sched
 
-import (
-	"math"
-
-	"metronome/internal/model"
-)
+import "math"
 
 // NameUniformVac selects the uniform-vacation ablation discipline.
 const NameUniformVac = "uniformvac"
@@ -90,22 +86,4 @@ func (p *UniformVac) ObserveCycle(q int, busy, vacation float64) float64 {
 func (p *UniformVac) SetTeamSize(m int) {
 	p.base.SetTeamSize(m)
 	p.republish()
-}
-
-// EVAtHighLoad exposes the model-side mean vacation the pinned timeout
-// yields in the high-load regime (tests assert it equals VBar).
-func (p *UniformVac) EVAtHighLoad() float64 {
-	k := float64(p.TeamSize()) / float64(p.cfg.N)
-	if k < 1 {
-		k = 1
-	}
-	m := int(math.Round(k))
-	if m < 1 {
-		m = 1
-	}
-	tl := p.cfg.TL
-	if tl <= 0 {
-		tl = 50 * p.cfg.VBar
-	}
-	return model.EVHighLoad(p.TS(0), tl, m)
 }

@@ -81,7 +81,6 @@ type Engine struct {
 	free     []*Event // recycled events awaiting reuse
 	fired    uint64
 	recycled uint64
-	halted   bool
 }
 
 // New returns an engine with the clock at zero.
@@ -215,15 +214,11 @@ func (e *Engine) After(d float64, what string, fn func()) EventRef {
 	return e.At(e.now+d, what, fn)
 }
 
-// Halt stops the run loop after the current event returns.
-func (e *Engine) Halt() { e.halted = true }
-
 // RunUntil executes events until the clock would pass deadline or the queue
 // drains. The clock is left at min(deadline, last event time); events at
 // exactly the deadline do fire.
 func (e *Engine) RunUntil(deadline Time) {
-	e.halted = false
-	for len(e.queue) > 0 && !e.halted {
+	for len(e.queue) > 0 {
 		next := e.queue[0]
 		if next.at > deadline {
 			break
@@ -241,12 +236,12 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.recycle(next)
 		fn()
 	}
-	if !e.halted && e.now < deadline && !math.IsInf(deadline, 1) {
+	if e.now < deadline && !math.IsInf(deadline, 1) {
 		e.now = deadline
 	}
 }
 
-// Run executes until the event queue drains or Halt is called.
+// Run executes until the event queue drains.
 func (e *Engine) Run() { e.RunUntil(math.Inf(1)) }
 
 // Ticker invokes fn every period until the engine stops or the returned

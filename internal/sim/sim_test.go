@@ -182,26 +182,6 @@ func TestRunUntilDeadlineBoundary(t *testing.T) {
 	}
 }
 
-func TestHalt(t *testing.T) {
-	e := New()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), "n", func() {
-			count++
-			if count == 4 {
-				e.Halt()
-			}
-		})
-	}
-	e.Run()
-	if count != 4 {
-		t.Fatalf("halted run executed %d events", count)
-	}
-	if e.Pending() == 0 {
-		t.Fatal("pending events discarded by Halt")
-	}
-}
-
 func TestPastSchedulingPanics(t *testing.T) {
 	e := New()
 	e.At(5, "x", func() {})
@@ -217,15 +197,10 @@ func TestPastSchedulingPanics(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := New()
 	n := 0
-	cancel := e.Ticker(1, "tick", func() {
-		n++
-		if n == 5 {
-			e.Halt()
-		}
-	})
-	e.RunUntil(100)
+	cancel := e.Ticker(1, "tick", func() { n++ })
+	e.RunUntil(5)
 	if n != 5 {
-		t.Fatalf("ticker fired %d times before halt", n)
+		t.Fatalf("ticker fired %d times by t=5", n)
 	}
 	cancel()
 	e.RunUntil(100)

@@ -24,23 +24,6 @@ type Process interface {
 	CountIn(t0, t1 float64, rng *xrand.Rand) int64
 }
 
-// MeanIn integrates Rate over [t0,t1) by midpoint steps; processes with
-// piecewise-constant rates are integrated exactly by construction.
-func MeanIn(p Process, t0, t1 float64, steps int) float64 {
-	if t1 <= t0 {
-		return 0
-	}
-	if steps < 1 {
-		steps = 1
-	}
-	h := (t1 - t0) / float64(steps)
-	sum := 0.0
-	for i := 0; i < steps; i++ {
-		sum += p.Rate(t0+(float64(i)+0.5)*h) * h
-	}
-	return sum
-}
-
 // CBR is a constant-bit-rate stream of PPS packets per second, the
 // p2p throughput workload of the paper (14.88 Mpps of 64B frames fills a
 // 10G link).
@@ -335,9 +318,6 @@ func NewFrameGen(seed uint64, nFlows, size int) *FrameGen {
 	}
 	return g
 }
-
-// Flows exposes the generated flow set.
-func (g *FrameGen) Flows() []packet.FlowKey { return g.flows }
 
 // Next returns the next frame and the flow it belongs to. The frame is that
 // flow's template, valid for the generator's lifetime and shared by every

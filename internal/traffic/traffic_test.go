@@ -87,10 +87,21 @@ func TestRampShape(t *testing.T) {
 	}
 }
 
+// integrate sums p's Rate over [t0, t1) by midpoint steps: the oracle the
+// closed-form counts are checked against.
+func integrate(p Process, t0, t1 float64, steps int) float64 {
+	h := (t1 - t0) / float64(steps)
+	sum := 0.0
+	for i := 0; i < steps; i++ {
+		sum += p.Rate(t0+(float64(i)+0.5)*h) * h
+	}
+	return sum
+}
+
 func TestRampCountMatchesIntegral(t *testing.T) {
 	rp := Ramp{Peak: 10e6, Duration: 60, StepEvery: 2}
 	got := float64(rp.CountIn(0, 60, nil))
-	want := MeanIn(rp, 0, 60, 60000)
+	want := integrate(rp, 0, 60, 60000)
 	if math.Abs(got-want)/want > 0.01 {
 		t.Errorf("CountIn=%v integral=%v", got, want)
 	}
@@ -155,9 +166,6 @@ func TestUnbalancedSharesDegenerate(t *testing.T) {
 
 func TestFrameGen(t *testing.T) {
 	g := NewFrameGen(7, 16, 64)
-	if len(g.Flows()) != 16 {
-		t.Fatal("flow count")
-	}
 	seen := map[packet.FlowKey]bool{}
 	for i := 0; i < 200; i++ {
 		frame, k := g.Next()
@@ -173,8 +181,8 @@ func TestFrameGen(t *testing.T) {
 		}
 		seen[k] = true
 	}
-	if len(seen) < 8 {
-		t.Errorf("only %d distinct flows in 200 draws", len(seen))
+	if len(seen) < 8 || len(seen) > 16 {
+		t.Errorf("%d distinct flows in 200 draws over 16", len(seen))
 	}
 }
 
@@ -254,12 +262,6 @@ func BenchmarkFrameGenNext(b *testing.B) {
 	}
 }
 
-func TestMeanInZeroWidth(t *testing.T) {
-	if MeanIn(CBR{PPS: 1e6}, 3, 3, 10) != 0 {
-		t.Error("zero-width integral must be 0")
-	}
-}
-
 func TestSineShapeAndCount(t *testing.T) {
 	s := Sine{Base: 1e6, Amp: 0.5e6, Period: 0.4}
 	if r := s.Rate(0); math.Abs(r-1e6) > 1 {
@@ -282,7 +284,7 @@ func TestSineShapeAndCount(t *testing.T) {
 		t.Errorf("split count %d != whole count %d", split, got)
 	}
 	// Count matches the numeric integral on an asymmetric window.
-	want := int64(MeanIn(s, 0.05, 0.31, 4000))
+	want := int64(integrate(s, 0.05, 0.31, 4000))
 	if got := s.CountIn(0.05, 0.31, nil); got < want-2 || got > want+2 {
 		t.Errorf("count = %d, integral says ~%d", got, want)
 	}

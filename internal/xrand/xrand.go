@@ -106,17 +106,6 @@ func (r *Rand) Intn(n int) int {
 	return int(hi)
 }
 
-// ExpFloat64 returns an exponentially distributed value with mean 1,
-// via inversion (monotone in the underlying uniform, which keeps
-// antithetic experiments well-behaved).
-func (r *Rand) ExpFloat64() float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u)
-}
-
 // NormFloat64 returns a standard normal value using the polar
 // (Marsaglia) method.
 func (r *Rand) NormFloat64() float64 {

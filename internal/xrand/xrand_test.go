@@ -99,23 +99,6 @@ func TestIntnUniformity(t *testing.T) {
 	}
 }
 
-func TestExpFloat64Mean(t *testing.T) {
-	r := New(5)
-	sum := 0.0
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.ExpFloat64()
-		if v < 0 {
-			t.Fatal("negative exponential variate")
-		}
-		sum += v
-	}
-	mean := sum / n
-	if math.Abs(mean-1) > 0.02 {
-		t.Errorf("exponential mean = %.4f, want ~1", mean)
-	}
-}
-
 func TestNormFloat64Moments(t *testing.T) {
 	r := New(11)
 	var sum, sq float64

@@ -320,17 +320,17 @@ func TestPublicObservabilityAPI(t *testing.T) {
 		t.Fatalf("decode through aliases incomplete: fault=%v exile=%v", fault, exile)
 	}
 
-	// The dumps are deterministic: a re-run's text is byte-identical.
+	// The dump is deterministic: a re-run's trace is byte-identical.
 	var a, b strings.Builder
-	if err := rec.WriteText(&a); err != nil {
+	if err := rec.WriteTrace(&a); err != nil {
 		t.Fatal(err)
 	}
 	rec2, _ := run()
-	if err := rec2.WriteText(&b); err != nil {
+	if err := rec2.WriteTrace(&b); err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Fatal("flight-recorder text dump diverged across identical runs")
+		t.Fatal("flight-recorder trace dump diverged across identical runs")
 	}
 
 	// The exposition handler serves the recorder's counters over HTTP.
